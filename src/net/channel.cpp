@@ -29,9 +29,7 @@ void Channel::send_frame(MessageType type, const std::vector<std::uint8_t>& payl
   }
   std::uint8_t header[kHeaderBytes];
   encode_header(header, type, static_cast<std::uint32_t>(payload.size()));
-  write_bytes(header, kHeaderBytes);
-  if (!payload.empty()) write_bytes(payload.data(), payload.size());
-  flush();
+  write_frame(header, payload);
   bytes_sent_ += kHeaderBytes + payload.size();
 }
 
@@ -92,8 +90,13 @@ StreamChannel::StreamChannel(std::istream& in, std::ostream& out,
                              std::uint32_t max_frame_bytes)
     : Channel(max_frame_bytes), in_(in), out_(out) {}
 
-void StreamChannel::write_bytes(const std::uint8_t* data, std::size_t size) {
-  out_.write(reinterpret_cast<const char*>(data), static_cast<std::streamsize>(size));
+void StreamChannel::write_frame(std::span<const std::uint8_t> header,
+                                std::span<const std::uint8_t> payload) {
+  for (const std::span<const std::uint8_t> part : {header, payload}) {
+    out_.write(reinterpret_cast<const char*>(part.data()),
+               static_cast<std::streamsize>(part.size()));
+  }
+  out_.flush();
   if (!out_) throw WireError("stream channel: write failed");
 }
 
@@ -103,7 +106,5 @@ std::size_t StreamChannel::read_bytes(std::uint8_t* data, std::size_t size) {
   if (got < 0) throw WireError("stream channel: read failed");
   return static_cast<std::size_t>(got);
 }
-
-void StreamChannel::flush() { out_.flush(); }
 
 }  // namespace nubb

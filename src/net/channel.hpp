@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -79,9 +80,15 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Send one frame (header + payload), atomically from the peer's view.
-  /// \throws WireError when the payload exceeds max_frame_bytes,
-  ///         std::runtime_error on transport failure.
+  /// Send one frame: the 12-byte header, then the payload; returns once
+  /// the transport has taken every byte. Neither transport makes a frame
+  /// atomic on the wire. `SocketChannel` hands header and payload to the
+  /// kernel in one gathered write, so a frame that fits one TCP segment
+  /// leaves as one, but a larger one can reach the peer in pieces, which
+  /// `receive_frame` reassembles. `StreamChannel` writes both to its
+  /// ostream, then flushes.
+  /// \throws WireError when the payload exceeds max_frame_bytes or the
+  ///         transport fails.
   void send_frame(MessageType type, const std::vector<std::uint8_t>& payload);
 
   /// Receive one frame. Returns false on clean end-of-stream at a frame
@@ -97,15 +104,14 @@ class Channel {
   std::uint64_t bytes_received() const noexcept { return bytes_received_; }
 
  protected:
-  /// Transport hooks. write_bytes sends exactly `size` bytes or throws;
+  /// Transport hooks. write_frame sends every byte of the encoded header
+  /// and then of the payload, pushed out before it returns (a request must
+  /// be on the wire before its sender blocks on the response), or throws;
   /// read_bytes returns the count actually read (0 = end of stream) and
   /// throws only on transport errors.
-  virtual void write_bytes(const std::uint8_t* data, std::size_t size) = 0;
+  virtual void write_frame(std::span<const std::uint8_t> header,
+                           std::span<const std::uint8_t> payload) = 0;
   virtual std::size_t read_bytes(std::uint8_t* data, std::size_t size) = 0;
-
-  /// Flush hook for buffered transports; called after every send_frame so
-  /// a request is on the wire before the sender blocks on the response.
-  virtual void flush() {}
 
  private:
   /// Read exactly `size` bytes. Returns false when the stream ended before
@@ -127,9 +133,9 @@ class StreamChannel : public Channel {
                 std::uint32_t max_frame_bytes = kDefaultMaxFrameBytes);
 
  protected:
-  void write_bytes(const std::uint8_t* data, std::size_t size) override;
+  void write_frame(std::span<const std::uint8_t> header,
+                   std::span<const std::uint8_t> payload) override;
   std::size_t read_bytes(std::uint8_t* data, std::size_t size) override;
-  void flush() override;
 
  private:
   std::istream& in_;

@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -15,6 +17,11 @@
 namespace nubb {
 
 namespace {
+
+/// Receive buffer per connection. A request or response frame is tens of
+/// bytes, so one recv usually takes a whole frame, often several; reads of
+/// at least this size (the bulk of a Snapshot payload) bypass the buffer.
+constexpr std::size_t kReceiveBufferBytes = 32 << 10;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw WireError("socket: " + what + ": " + std::strerror(errno));
@@ -55,7 +62,6 @@ SocketChannel SocketChannel::connect(const std::string& host, std::uint16_t port
       continue;
     }
     if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-      set_nodelay(fd);
       return SocketChannel(fd, max_frame_bytes);
     }
     last_errno = errno;
@@ -66,12 +72,16 @@ SocketChannel SocketChannel::connect(const std::string& host, std::uint16_t port
 }
 
 SocketChannel::SocketChannel(int fd, std::uint32_t max_frame_bytes)
-    : Channel(max_frame_bytes), fd_(fd) {
+    : Channel(max_frame_bytes), fd_(fd), rbuf_(kReceiveBufferBytes) {
   set_nodelay(fd_);
 }
 
 SocketChannel::SocketChannel(SocketChannel&& other) noexcept
-    : Channel(other.max_frame_bytes()), fd_(std::exchange(other.fd_, -1)) {}
+    : Channel(other.max_frame_bytes()),
+      fd_(std::exchange(other.fd_, -1)),
+      rbuf_(std::move(other.rbuf_)),
+      rpos_(std::exchange(other.rpos_, 0)),
+      rend_(std::exchange(other.rend_, 0)) {}
 
 SocketChannel::~SocketChannel() {
   if (fd_ >= 0) ::close(fd_);
@@ -81,19 +91,50 @@ void SocketChannel::shutdown_write() noexcept {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
 
-void SocketChannel::write_bytes(const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
+void SocketChannel::write_frame(std::span<const std::uint8_t> header,
+                                std::span<const std::uint8_t> payload) {
+  // Header and payload in one gathered write: with TCP_NODELAY two send()
+  // calls put a small frame in two segments and can wake the peer for the
+  // header alone. The payload is not copied (a Snapshot is megabytes).
+  iovec iov[2] = {{const_cast<std::uint8_t*>(header.data()), header.size()},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  std::size_t left = header.size() + payload.size();
+  for (;;) {
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("send failed");
     }
-    sent += static_cast<std::size_t>(n);
+    std::size_t sent = static_cast<std::size_t>(n);
+    left -= sent;
+    if (left == 0) return;
+    // Partial write: drop the entries already sent, trim the one cut short.
+    while (sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    msg.msg_iov->iov_base = static_cast<std::uint8_t*>(msg.msg_iov->iov_base) + sent;
+    msg.msg_iov->iov_len -= sent;
   }
 }
 
 std::size_t SocketChannel::read_bytes(std::uint8_t* data, std::size_t size) {
+  if (rpos_ == rend_) {
+    if (size >= rbuf_.size()) return recv_some(data, size);
+    rpos_ = 0;
+    rend_ = recv_some(rbuf_.data(), rbuf_.size());
+  }
+  const std::size_t n = std::min(size, rend_ - rpos_);
+  std::memcpy(data, rbuf_.data() + rpos_, n);
+  rpos_ += n;
+  return n;
+}
+
+std::size_t SocketChannel::recv_some(std::uint8_t* data, std::size_t size) {
   for (;;) {
     const ssize_t n = ::recv(fd_, data, size, 0);
     if (n < 0) {

@@ -9,19 +9,26 @@
 ///
 /// Both classes are thin RAII wrappers over POSIX file descriptors; all
 /// I/O is blocking with EINTR retried, so a session thread parks in
-/// read(2) between requests and the accept loop polls with a timeout in
+/// recv(2) between requests and the accept loop polls with a timeout in
 /// order to notice shutdown.
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "net/channel.hpp"
 
 namespace nubb {
 
 /// A connected TCP stream speaking the frame protocol. Use one per thread;
-/// the framing state machine is not reentrant (same contract as
-/// StreamChannel).
+/// the framing state machine and the receive buffer are not reentrant
+/// (same contract as StreamChannel).
+///
+/// Each frame goes out in one gathered `sendmsg`, and reads are served
+/// from a per-connection buffer refilled by one `recv`, so a small frame
+/// costs one segment and one wake-up on each side. The buffer can hold
+/// bytes the kernel no longer reports as readable: code that polls `fd()`
+/// for the next frame must first consume what is buffered.
 class SocketChannel final : public Channel {
  public:
   /// Connect to host:port (numeric IPv4 dotted quad or a resolvable name).
@@ -33,6 +40,7 @@ class SocketChannel final : public Channel {
   /// ownership; the descriptor is closed on destruction.
   explicit SocketChannel(int fd, std::uint32_t max_frame_bytes = kDefaultMaxFrameBytes);
 
+  /// Carries the descriptor and any buffered, not yet consumed bytes.
   SocketChannel(SocketChannel&& other) noexcept;
   SocketChannel& operator=(SocketChannel&&) = delete;
   ~SocketChannel() override;
@@ -44,12 +52,18 @@ class SocketChannel final : public Channel {
   void shutdown_write() noexcept;
 
  protected:
-  void write_bytes(const std::uint8_t* data, std::size_t size) override;
+  void write_frame(std::span<const std::uint8_t> header,
+                   std::span<const std::uint8_t> payload) override;
   std::size_t read_bytes(std::uint8_t* data, std::size_t size) override;
-  void flush() override {}  // no userspace buffer; TCP_NODELAY is set
 
  private:
+  /// One recv(2) into `data`, EINTR retried; 0 = orderly peer shutdown.
+  std::size_t recv_some(std::uint8_t* data, std::size_t size);
+
   int fd_ = -1;
+  std::vector<std::uint8_t> rbuf_;  // received, not yet consumed: [rpos_, rend_)
+  std::size_t rpos_ = 0;
+  std::size_t rend_ = 0;
 };
 
 /// A listening TCP socket bound to `host:port`. Port 0 requests an

@@ -6,7 +6,19 @@
 #include "net/socket.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
 
+#ifdef __linux__
+#include <linux/tcp.h>
+#include <netinet/in.h>
+#endif
+
+#include <chrono>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +44,46 @@ int accept_one(SocketListener& listener) {
     if (fd >= 0) return fd;
   }
   return -1;
+}
+
+/// A connected loopback pair: `client` from connect(), `server` accepted.
+struct LoopbackPair {
+  SocketListener listener{"127.0.0.1", 0};
+  SocketChannel client = SocketChannel::connect("127.0.0.1", listener.port());
+  SocketChannel server{accept_one(listener)};
+};
+
+/// The exact bytes a channel puts on the wire for `msg`.
+template <typename Msg>
+std::string frame_bytes(const Msg& msg) {
+  std::stringstream wire;
+  StreamChannel channel(wire, wire);
+  send_message(channel, msg);
+  return wire.str();
+}
+
+/// Write `bytes` with one raw send(), bypassing the channel's framing.
+void send_raw(int fd, const std::string& bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// Bytes the kernel holds for `fd` that no recv() has taken yet.
+int kernel_readable_bytes(int fd) {
+  int n = -1;
+  EXPECT_EQ(::ioctl(fd, FIONREAD, &n), 0);
+  return n;
+}
+
+/// The WireError receive_frame raises, or "" when it raises none.
+std::string receive_error(Channel& channel) {
+  Frame frame;
+  try {
+    (void)channel.receive_frame(frame);
+  } catch (const WireError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(SocketTest, AcceptTimesOutWhenNobodyConnects) {
@@ -122,6 +174,154 @@ TEST(SocketTest, ConnectToUnboundPortFails) {
   std::uint16_t dead_port = 0;
   { dead_port = SocketListener("127.0.0.1", 0).port(); }
   EXPECT_THROW((void)SocketChannel::connect("127.0.0.1", dead_port), WireError);
+}
+
+#ifdef __linux__
+std::uint32_t data_segments_sent(int fd) {
+  tcp_info info{};
+  socklen_t len = sizeof(info);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &len), 0);
+  return info.tcpi_data_segs_out;
+}
+#endif
+
+TEST(SocketTest, SmallFrameLeavesAsOneSegment) {
+#ifndef __linux__
+  GTEST_SKIP() << "TCP_INFO segment counters are Linux-only";
+#else
+  LoopbackPair pair;
+  const std::uint32_t before_request = data_segments_sent(pair.client.fd());
+  send_message(pair.client, PlaceRequest{});
+  EXPECT_EQ(data_segments_sent(pair.client.fd()) - before_request, 1u);
+
+  Frame frame;
+  ASSERT_TRUE(pair.server.receive_frame(frame));
+  const PlaceResponse response{7, 3, 10};
+  const std::uint32_t before_response = data_segments_sent(pair.server.fd());
+  send_message(pair.server, response);
+  EXPECT_EQ(data_segments_sent(pair.server.fd()) - before_response, 1u);
+  ASSERT_TRUE(pair.client.receive_frame(frame));
+  EXPECT_EQ(decode_message<PlaceResponse>(frame), response);
+#endif
+}
+
+// --- framing edge cases over TCP (the StreamChannel matrix: test_channel.cpp) ---
+
+TEST(SocketFraming, EightMebibyteSnapshotRoundTripsByteForByte) {
+  LoopbackPair pair;
+  // A small send buffer makes the sender block mid-frame, and the signals
+  // below interrupt that sendmsg: the first returns a partial count, later
+  // ones fail with EINTR. The write must resume exactly where it stopped.
+  const int client_fd = pair.client.fd();
+  const int send_buffer = 64 << 10;
+  ASSERT_EQ(::setsockopt(client_fd, SOL_SOCKET, SO_SNDBUF, &send_buffer, sizeof(send_buffer)), 0);
+  struct sigaction no_restart = {};
+  no_restart.sa_handler = [](int) {};
+  sigemptyset(&no_restart.sa_mask);
+  struct sigaction previous = {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &no_restart, &previous), 0);
+
+  SnapshotResponse snap;
+  snap.counts.resize(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < snap.counts.size(); ++i) snap.counts[i] = i * 0x9E3779B97F4A7C15ull;
+  snap.total_balls = 12345;
+  WireWriter expected;
+  snap.encode(expected);
+
+  std::thread sender([&] {
+    EXPECT_NO_THROW(send_message(pair.client, snap));
+    pair.client.shutdown_write();  // a failed send then ends the receive, not hangs it
+  });
+  for (int i = 0; i < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ::pthread_kill(sender.native_handle(), SIGUSR1);
+  }
+  Frame frame;
+  bool got = false;
+  EXPECT_NO_THROW(got = pair.server.receive_frame(frame));
+  sender.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ASSERT_TRUE(got);
+  EXPECT_EQ(frame.type, MessageType::kSnapshotResponse);
+  EXPECT_TRUE(frame.payload == expected.bytes());
+  EXPECT_EQ(decode_message<SnapshotResponse>(frame), snap);
+}
+
+TEST(SocketFraming, BackToBackFramesDecodeInOrderThenCleanEof) {
+  LoopbackPair pair;
+  const BatchPlaceRequest batch{kNoTicket, 5, 1};
+  send_message(pair.client, LookupRequest{1});
+  send_message(pair.client, batch);
+  pair.client.shutdown_write();
+
+  Frame frame;
+  ASSERT_TRUE(pair.server.receive_frame(frame));
+  EXPECT_EQ(decode_message<LookupRequest>(frame), LookupRequest{1});
+  ASSERT_TRUE(pair.server.receive_frame(frame));
+  EXPECT_EQ(decode_message<BatchPlaceRequest>(frame), batch);
+  EXPECT_FALSE(pair.server.receive_frame(frame));
+}
+
+TEST(SocketFraming, FrameSentOneByteAtATimeDecodesTheSame) {
+  LoopbackPair pair;
+  const PlaceRequest request{42, 1};
+  const std::string bytes = frame_bytes(request);
+  std::thread sender([&] {
+    for (const char byte : bytes) {
+      send_raw(pair.client.fd(), std::string(1, byte));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  Frame frame;
+  const bool got = pair.server.receive_frame(frame);
+  sender.join();
+  ASSERT_TRUE(got);
+  EXPECT_EQ(decode_message<PlaceRequest>(frame), request);
+}
+
+TEST(SocketFraming, PeerClosingMidFrameRaisesTheStreamChannelError) {
+  const std::string bytes = frame_bytes(LookupRequest{7});
+  // Mid-header, between header and payload, mid-payload.
+  for (const std::size_t cut : {std::size_t{5}, std::size_t{12}, bytes.size() - 3}) {
+    SCOPED_TRACE(cut);
+    std::istringstream in(bytes.substr(0, cut));
+    std::ostringstream out;
+    StreamChannel stream(in, out);
+    const std::string expected = receive_error(stream);
+    ASSERT_FALSE(expected.empty());
+
+    SocketListener listener("127.0.0.1", 0);
+    {
+      SocketChannel peer = SocketChannel::connect("127.0.0.1", listener.port());
+      send_raw(peer.fd(), bytes.substr(0, cut));
+    }  // the peer closes mid-frame
+    SocketChannel channel(accept_one(listener));
+    EXPECT_EQ(receive_error(channel), expected);
+  }
+}
+
+TEST(SocketFraming, MovedChannelYieldsTheFrameItBuffered) {
+  LoopbackPair pair;
+  send_message(pair.client, LookupRequest{1});
+  send_message(pair.client, LookupRequest{2});
+  pair.client.shutdown_write();
+
+  // Let both frames reach the server's socket, so the first receive takes
+  // the second one into the channel's buffer as well.
+  const int both = static_cast<int>(2 * frame_bytes(LookupRequest{}).size());
+  for (int tick = 0; tick < 500 && kernel_readable_bytes(pair.server.fd()) < both; ++tick) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(kernel_readable_bytes(pair.server.fd()), both);
+  Frame frame;
+  ASSERT_TRUE(pair.server.receive_frame(frame));
+  EXPECT_EQ(decode_message<LookupRequest>(frame), LookupRequest{1});
+  ASSERT_EQ(kernel_readable_bytes(pair.server.fd()), 0);
+
+  SocketChannel moved(std::move(pair.server));
+  ASSERT_TRUE(moved.receive_frame(frame));
+  EXPECT_EQ(decode_message<LookupRequest>(frame), LookupRequest{2});
+  EXPECT_FALSE(moved.receive_frame(frame));
 }
 
 TEST(PlacementServerTest, ServesConcurrentClientsUntilShutdown) {
