@@ -228,8 +228,7 @@ std::size_t PlacementKernel::place_impl(PlacementKernel& k, const std::uint64_t*
 namespace {
 
 /// One candidate draw, byte-identical to BinSampler::sample /
-/// AliasTable::sample (the integer threshold decides exactly like the
-/// `next_double() < prob` form and consumes the same one next() draw).
+/// AliasTable::sample (the same bounded slot draw and one next() draw).
 /// `threshold == nullptr` selects the uniform fast path. The accept test is
 /// a [[likely]] branch rather than a conditional move: acceptance dominates
 /// for every profile in the paper, and a predicted-accept branch lets the

@@ -27,7 +27,7 @@ BinSampler BinSampler::from_policy(const SelectionPolicy& policy,
 double BinSampler::probability(std::size_t i) const {
   NUBB_REQUIRE(i < n_);
   if (!table_) return 1.0 / static_cast<double>(n_);
-  return table_->input_probability(i);
+  return table_->probability(i);
 }
 
 }  // namespace nubb

@@ -54,7 +54,8 @@ class BinSampler {
   /// sampler's lifetime.
   const AliasTable* alias_table() const noexcept { return table_.get(); }
 
-  /// Probability assigned to bin i.
+  /// Probability assigned to bin i; O(n) per query when an alias table
+  /// backs the sampler (AliasTable::probability).
   double probability(std::size_t i) const;
 
  private:

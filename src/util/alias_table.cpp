@@ -1,11 +1,26 @@
 #include "util/alias_table.hpp"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "util/assert.hpp"
 
 namespace nubb {
+
+namespace {
+
+constexpr std::uint64_t kOne = std::uint64_t{1} << 53;  // threshold of probability 1
+
+/// With u = k * 2^-53 (k the 53-bit mantissa draw), u < prob iff
+/// k < prob * 2^53; prob * 2^53 is exact (exponent shift), so
+/// k < ceil(prob * 2^53) decides identically for non-integral prob * 2^53
+/// and k < prob * 2^53 for integral — both covered by comparing against ceil.
+std::uint64_t threshold_of(double prob) {
+  return static_cast<std::uint64_t>(std::ceil(prob * 0x1.0p53));
+}
+
+}  // namespace
 
 AliasTable::AliasTable(const std::vector<double>& weights, const MemoryConfig& mem) {
   const std::size_t n = weights.size();
@@ -16,71 +31,61 @@ AliasTable::AliasTable(const std::vector<double>& weights, const MemoryConfig& m
   double total = 0.0;
   for (const double w : weights) {
     NUBB_REQUIRE_MSG(w >= 0.0, "alias table weights must be non-negative");
+    NUBB_REQUIRE_MSG(std::isfinite(w), "alias table weights must be finite");
     total += w;
   }
+  NUBB_REQUIRE_MSG(std::isfinite(total), "alias table weight total must be finite");
   NUBB_REQUIRE_MSG(total > 0.0, "alias table needs positive total weight");
-
-  normalized_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) normalized_[i] = weights[i] / total;
 
   // Vose's stable construction: scale probabilities by n, split outcomes
   // into "small" (< 1) and "large" (>= 1), and repeatedly pair one of each.
-  std::vector<double> scaled(n);
-  for (std::size_t i = 0; i < n; ++i) scaled[i] = normalized_[i] * static_cast<double>(n);
-
-  prob_.assign(n, 1.0);
-  // The hot slot arrays start uninitialised (AlignedBuffer's owner-writes
-  // contract); the identity fill below is the first touch.
-  alias_ = AlignedBuffer<std::uint32_t>(n, mem);
-  for (std::size_t i = 0; i < n; ++i) alias_[i] = static_cast<std::uint32_t>(i);
-
-  std::vector<std::uint32_t> small;
-  std::vector<std::uint32_t> large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
-  }
-
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    large.pop_back();
-
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    // The large outcome donates (1 - scaled[s]) of its mass to slot s.
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
-  }
-  // Leftovers are == 1 up to rounding; they keep prob 1 / self-alias.
-  for (const std::uint32_t l : large) prob_[l] = 1.0;
-  for (const std::uint32_t s : small) prob_[s] = 1.0;
-
-  // Integer acceptance thresholds for the fused sampling loops. With
-  // u = k * 2^-53 (k the 53-bit mantissa draw), u < p iff k < p * 2^53;
-  // p * 2^53 is exact (exponent shift), so k < ceil(p * 2^53) decides
-  // identically for non-integral p * 2^53 and k < p * 2^53 for integral —
-  // both covered by comparing against ceil.
+  // Built in place: until slot i is final, threshold_[i] holds the bits of
+  // its scaled probability. The two stacks share one work array, small
+  // growing up from 0 and large down from n; an outcome sits on at most one
+  // stack, so they never meet.
   threshold_ = AlignedBuffer<std::uint64_t>(n, mem);
+  alias_ = AlignedBuffer<std::uint32_t>(n, mem);
+  std::uint64_t* const slot = threshold_.data();
+  const auto scaled = [slot](std::uint32_t i) { return std::bit_cast<double>(slot[i]); };
+  AlignedBuffer<std::uint32_t> work(n, mem);
+  std::size_t small_end = 0;  // small stack: work[0, small_end), top at small_end - 1
+  std::size_t large_top = n;  // large stack: work[large_top, n), top at large_top
+  std::size_t support = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    threshold_[i] = static_cast<std::uint64_t>(std::ceil(prob_[i] * 0x1.0p53));
+    const double p = weights[i] / total * static_cast<double>(n);
+    slot[i] = std::bit_cast<std::uint64_t>(p);
+    support += p > 0.0;
+    // Branch-free push (a mask selects the end): on shuffled weights
+    // "small or large" is a coin flip no branch predictor learns.
+    const std::size_t small = p < 1.0;
+    const std::size_t mask = 0 - small;
+    work[(small_end & mask) | ((large_top - 1) & ~mask)] = static_cast<std::uint32_t>(i);
+    small_end += small;
+    large_top -= 1 - small;
   }
+  support_ = support;
 
-  // Reconstruct the per-outcome probabilities the slots actually encode:
-  // P(outcome i) = (prob of own slot + mass donated by slots aliased to i)/n.
-  // Precomputing keeps probability() O(1), so dumping the full distribution
-  // is O(n) instead of O(n^2).
-  reconstructed_.assign(n, 0.0);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    reconstructed_[slot] += prob_[slot];
-    if (alias_[slot] != slot) reconstructed_[alias_[slot]] += 1.0 - prob_[slot];
+  while (small_end > 0 && large_top < n) {
+    const std::uint32_t s = work[--small_end];
+    const std::uint32_t l = work[large_top++];
+    const double ps = scaled(s);
+    // The large outcome donates (1 - ps) of its mass to slot s.
+    const double pl = (scaled(l) + ps) - 1.0;
+    slot[s] = threshold_of(ps);
+    alias_[s] = l;
+    slot[l] = std::bit_cast<std::uint64_t>(pl);
+    // Branchy on purpose: the next pop depends on this push, and a
+    // predicted branch lets it start before pl is known.
+    work[pl < 1.0 ? small_end++ : --large_top] = l;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    reconstructed_[i] /= static_cast<double>(n);
-    if (normalized_[i] > 0.0) ++support_;
-  }
+  // Leftovers are == 1 up to rounding; they keep probability 1 and alias
+  // themselves.
+  const auto keep = [&](std::uint32_t i) {
+    slot[i] = kOne;
+    alias_[i] = i;
+  };
+  for (std::size_t k = large_top; k < n; ++k) keep(work[k]);
+  for (std::size_t k = 0; k < small_end; ++k) keep(work[k]);
 }
 
 void AliasTable::sample_fill(std::uint32_t* out, std::size_t count, Xoshiro256StarStar& rng,
@@ -89,10 +94,8 @@ void AliasTable::sample_fill(std::uint32_t* out, std::size_t count, Xoshiro256St
   // entries would overflow the vector body's 32-bit multiplier lanes; the
   // draws are identical either way, so route both scalar regardless of the
   // resolved impl.
-  if (count >= 8 && prob_.size() < (std::uint64_t{1} << 32) &&
-      resolve_simd(simd) == SimdImpl::kAvx2) {
-    detail::alias_sample_fill_avx2(threshold_.data(), alias_.data(), prob_.size(), out, count,
-                                   rng);
+  if (count >= 8 && size() < (std::uint64_t{1} << 32) && resolve_simd(simd) == SimdImpl::kAvx2) {
+    detail::alias_sample_fill_avx2(threshold_.data(), alias_.data(), size(), out, count, rng);
     return;
   }
   for (std::size_t i = 0; i < count; ++i) {
@@ -101,13 +104,14 @@ void AliasTable::sample_fill(std::uint32_t* out, std::size_t count, Xoshiro256St
 }
 
 double AliasTable::probability(std::size_t i) const {
-  NUBB_REQUIRE(i < reconstructed_.size());
-  return reconstructed_[i];
-}
-
-double AliasTable::input_probability(std::size_t i) const {
-  NUBB_REQUIRE(i < normalized_.size());
-  return normalized_[i];
+  NUBB_REQUIRE(i < size());
+  // Slot s hands 2^53 - threshold[s] of its 2^53 mantissas to alias[s]; a
+  // slot that aliases itself has threshold 2^53 and hands on nothing.
+  double mass = static_cast<double>(threshold_[i]);
+  for (std::size_t s = 0; s < size(); ++s) {
+    if (alias_[s] == i) mass += static_cast<double>(kOne - threshold_[s]);
+  }
+  return mass * 0x1.0p-53 / static_cast<double>(size());
 }
 
 }  // namespace nubb

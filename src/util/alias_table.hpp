@@ -18,7 +18,8 @@
 
 namespace nubb {
 
-/// Immutable alias table over outcomes {0, ..., n-1}.
+/// Immutable alias table over outcomes {0, ..., n-1}. It holds only the two
+/// arrays sampling reads, 12 bytes per outcome.
 class AliasTable {
  public:
   /// Build from non-negative weights (not necessarily normalised). The hot
@@ -27,66 +28,56 @@ class AliasTable {
   /// storage honoring `mem` — cache-line aligned always, huge-page-advised
   /// when the MemoryConfig asks for it, exactly like the bin slots they are
   /// probed alongside. Placement only; sampling results never depend on it.
-  /// \pre weights non-empty; all weights >= 0; sum of weights > 0.
+  /// \pre weights non-empty; every weight finite and >= 0; sum of weights
+  /// finite and > 0.
   explicit AliasTable(const std::vector<double>& weights, const MemoryConfig& mem = {});
 
-  /// Draw one outcome in O(1): one bounded integer + one double compare.
+  /// Draw one outcome in O(1): one bounded slot draw, then one word whose
+  /// top 53 bits are compared with the slot's threshold.
   std::size_t sample(Xoshiro256StarStar& rng) const noexcept {
-    const std::size_t slot = static_cast<std::size_t>(rng.bounded(prob_.size()));
-    return rng.next_double() < prob_[slot] ? slot : alias_[slot];
+    const std::size_t slot = static_cast<std::size_t>(rng.bounded(size()));
+    return (rng.next() >> 11) < threshold_[slot] ? slot : alias_[slot];
   }
 
   /// Fill `out[0..count)` with independent draws, exactly as if `sample(rng)`
   /// had been called `count` times in order: same outcomes, same RNG
   /// consumption (one bounded slot draw + one mantissa word per sample).
   /// `simd` resolves like the placement kernel's `--simd` knob
-  /// (util/simd.hpp); the AVX2 body decides acceptance with the integer
-  /// thresholds, which compare identically to the `next_double() < prob`
-  /// form (see threshold_data), so the two implementations are bit-equal.
+  /// (util/simd.hpp); the scalar and AVX2 bodies are bit-equal.
   /// \pre size() fits the u32 outputs (guaranteed — construction caps n).
   void sample_fill(std::uint32_t* out, std::size_t count, Xoshiro256StarStar& rng,
                    SimdMode simd = SimdMode::kAuto) const;
 
-  std::size_t size() const noexcept { return prob_.size(); }
+  std::size_t size() const noexcept { return alias_.size(); }
 
   /// Number of outcomes with strictly positive probability. Rejection-based
   /// consumers (distinct-choice sampling) must not ask for more distinct
   /// outcomes than this, or they would loop forever.
   std::size_t support_size() const noexcept { return support_; }
 
-  /// Exact probability the table assigns to outcome i, reconstructed from
-  /// the internal slots at construction (O(1) per query; full-distribution
-  /// dumps are O(n), not O(n^2)). Used to verify the construction against
-  /// the input weights.
+  /// Probability the table assigns to outcome i: its own slot's acceptance
+  /// mass plus what every slot aliased to it passes on, divided by n. O(n)
+  /// per query (a scan of both arrays); for tests and diagnostics only.
   double probability(std::size_t i) const;
-
-  /// Normalised input weight of outcome i.
-  double input_probability(std::size_t i) const;
 
   /// Raw slot arrays for fused sampling loops (the placement kernel inlines
   /// `sample()` against these so the hot loop carries no vector indirection).
-  /// All have size() entries and live as long as the table.
-  const double* prob_data() const noexcept { return prob_.data(); }
-  const std::uint32_t* alias_data() const noexcept { return alias_.data(); }
-
-  /// Integer acceptance thresholds: `mantissa < threshold_data()[slot]` with
-  /// `mantissa = rng.next() >> 11` decides exactly like
-  /// `rng.next_double() < prob_data()[slot]` (both compare the same 53-bit
-  /// mantissa against prob * 2^53, which is an exact double operation), but
-  /// without the integer-to-double conversion in the loop.
+  /// Both have size() entries and live as long as the table. Slot s accepts
+  /// a 53-bit mantissa k (`rng.next() >> 11`) iff `k < threshold_data()[s]`,
+  /// where the threshold is `ceil(p * 2^53)` for the slot's acceptance
+  /// probability p, so `k < threshold` decides exactly like
+  /// `k * 2^-53 < p`. A rejected draw yields `alias_data()[s]`.
   const std::uint64_t* threshold_data() const noexcept { return threshold_.data(); }
+  const std::uint32_t* alias_data() const noexcept { return alias_.data(); }
 
   /// Whether the hot slot arrays were huge-page-advised (telemetry, like
   /// BinArray::huge_page_advised).
   bool huge_page_advised() const noexcept { return threshold_.huge_page_advised(); }
 
  private:
-  std::vector<double> prob_;                 // acceptance threshold per slot
-  AlignedBuffer<std::uint32_t> alias_;       // fallback outcome per slot
-  AlignedBuffer<std::uint64_t> threshold_;   // ceil(prob * 2^53), integer form
-  std::vector<double> normalized_;    // normalised input weights (diagnostics)
-  std::vector<double> reconstructed_; // per-outcome probability implied by the slots
-  std::size_t support_ = 0;           // outcomes with positive probability
+  AlignedBuffer<std::uint64_t> threshold_;  // ceil(acceptance prob * 2^53) per slot
+  AlignedBuffer<std::uint32_t> alias_;      // fallback outcome per slot
+  std::size_t support_ = 0;                 // outcomes with positive probability
 };
 
 namespace detail {

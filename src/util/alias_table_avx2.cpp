@@ -4,9 +4,8 @@
 /// the flag, so the symbol always links and runtime dispatch is the only
 /// gate. Bit-equal to repeated sample(): the slot draw is the same Lemire
 /// bounded draw (vector product, scalar-replayed chunk on the vanishing
-/// rejections), and acceptance compares the 53-bit mantissa against the
-/// integer thresholds, which alias_table.hpp documents as deciding exactly
-/// like the `next_double() < prob` form.
+/// rejections), and acceptance compares the same 53-bit mantissa against
+/// the same integer thresholds.
 
 #include "util/alias_table.hpp"
 

@@ -67,6 +67,15 @@ TEST(BinSamplerTest, TopOnlyNeverDrawsSmallBins) {
   }
 }
 
+TEST(BinSamplerTest, OverflowingPolicyWeightsAreRejected) {
+  // 100000^400 overflows to inf. A table built from it would not follow the
+  // policy (its limit is an even split between the two large bins), so
+  // construction must refuse it.
+  const std::vector<std::uint64_t> caps = {1, 1, 100000, 100000};
+  EXPECT_THROW(BinSampler::from_policy(SelectionPolicy::capacity_power(400), caps),
+               PreconditionError);
+}
+
 TEST(BinSamplerTest, ProbabilityOutOfRangeThrows) {
   const BinSampler sampler = BinSampler::uniform(3);
   EXPECT_THROW(sampler.probability(3), PreconditionError);
