@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Fan a nubb_run experiment out over N local shard processes and merge.
 #
-# Usage: scripts/shard_run.sh [-j MERGED_JSON] [-s STATE_DIR] NUBB_RUN SHARD_COUNT [nubb_run options...]
+# Usage: scripts/shard_run.sh [-j MERGED_JSON] [-s STATE_DIR] NUBB_RUN SHARD_COUNT [run] [nubb_run options...]
 #
 # Example:
 #   scripts/shard_run.sh -j merged.json ./build/tools/nubb_run 4 \
@@ -14,7 +14,7 @@
 #
 # Without -s, state files live in a temp directory that is removed on exit.
 # With -s STATE_DIR the states persist there and runs are resumable: a shard
-# whose state file already exists and passes `nubb_run --check-state` (same
+# whose state file already exists and passes `nubb_run check-state` (same
 # nubb.shard.v2 format, same experiment fingerprint, same shard coordinate,
 # collector state parses) is skipped; a missing, corrupt, or mismatched
 # state is re-run. If any shard process fails, its exit code is propagated
@@ -38,13 +38,18 @@ while [ "$#" -ge 1 ]; do
 done
 
 if [ "$#" -lt 2 ]; then
-  echo "usage: scripts/shard_run.sh [-j MERGED_JSON] [-s STATE_DIR] NUBB_RUN SHARD_COUNT [options...]" >&2
+  echo "usage: scripts/shard_run.sh [-j MERGED_JSON] [-s STATE_DIR] NUBB_RUN SHARD_COUNT [run] [options...]" >&2
   exit 2
 fi
 
 nubb_run=$1
 shard_count=$2
 shift 2
+# `run` is nubb_run's default subcommand; drop it so the forwarded options
+# also fit after `check-state FILE` in the resume probe.
+if [ "$#" -ge 1 ] && [ "$1" = run ]; then
+  shift
+fi
 
 case "$shard_count" in
   ''|*[!0-9]*) echo "shard_run.sh: SHARD_COUNT must be a positive integer" >&2; exit 2 ;;
@@ -68,7 +73,7 @@ i=0
 while [ "$i" -lt "$shard_count" ]; do
   state_file="$state_dir/shard_$i.json"
   if [ -f "$state_file" ] &&
-     "$nubb_run" "$@" --shard "$i/$shard_count" --check-state "$state_file" >/dev/null 2>&1; then
+     "$nubb_run" check-state "$state_file" "$@" --shard "$i/$shard_count" >/dev/null 2>&1; then
     echo "shard_run.sh: shard $i/$shard_count already complete, skipping" >&2
   else
     "$nubb_run" "$@" --shard "$i/$shard_count" --out "$state_file" &
@@ -103,8 +108,8 @@ done
 
 if [ -n "$merged_json" ]; then
   # shellcheck disable=SC2086
-  "$nubb_run" --merge $states --json "$merged_json"
+  "$nubb_run" merge $states --json "$merged_json"
 else
   # shellcheck disable=SC2086
-  "$nubb_run" --merge $states
+  "$nubb_run" merge $states
 fi

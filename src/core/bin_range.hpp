@@ -19,7 +19,7 @@
 ///     ranges (`slots_fingerprint_fold` in core/bin_array.hpp), so the fold
 ///     of the shards' sub-arrays in range order equals the fingerprint one
 ///     unsharded array over the same state would report — the serving
-///     analogue of the offline `--shard i/N --merge` replay.
+///     analogue of the offline `--shard i/N` + `merge` replay.
 ///
 /// `BinArrayView` is the read side: a non-owning const window over any
 /// contiguous slot run (a shard's sub-array, or a slice of a full array)

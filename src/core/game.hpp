@@ -41,10 +41,15 @@ struct GameConfig {
   /// ignore this field.
   std::uint64_t batch = 1;
 
-  /// RNG draw-order stream (see RngStream). kV1 is the locked default every
-  /// golden value is pinned to; kV2 is the batch-drawn fast path, selected
-  /// with `nubb_run --stream v2`. The realised process distribution is the
-  /// same for both; fixed-seed outcomes are not.
+  /// RNG draw-order stream (see RngStream). kV2 is the batch-drawn bulk
+  /// engine and the default of every CLI tool (`--stream`). kV1 is the
+  /// per-ball reference order and stays the default here: the v1 goldens,
+  /// the frozen-reference kernel tests, the exact-oracle check and the S = 1
+  /// serving determinism tests pin it, and flipping it would move the
+  /// fixed-seed outcome of every caller that leaves the stream unset. Bulk
+  /// v1 runs place ball after ball through the per-ball path, several times
+  /// slower than v2. The realised process distribution is the same for
+  /// both; fixed-seed outcomes are not.
   RngStream stream = RngStream::kV1;
 
   /// Storage knobs for the bin state built for this game: huge-page backing

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <type_traits>
 
 #include "core/placement_resolve.hpp"
 #include "core/weighted.hpp"
@@ -105,20 +104,16 @@ PlacementKernel::PlacementKernel(WeightedBinArray& bins, const BinSampler& sampl
 
 namespace {
 
-// The resolve-stage building blocks (csel, draw_candidate_v2, RunTotals,
-// the load comparisons, the commit helpers, the branchless per-ball
-// resolvers, the fill phases and the prefetch policy) live in
-// core/placement_resolve.hpp so the AVX2 TU shares the exact scalar bodies;
-// pull them in unqualified so the loop shapes below read as before.
+// The resolve-stage building blocks (draw_candidate_v2, RunTotals, the
+// commit helpers, the branchless per-ball resolvers, the fill phases and the
+// prefetch policy) live in core/placement_resolve.hpp so the AVX2 TU shares
+// the exact scalar bodies; pull them in unqualified so the loop shapes below
+// read as before.
 using detail::commit_amount;
-using detail::commit_known;
-using detail::csel;
 using detail::draw_candidate_v2;
 using detail::fill_candidates_v2;
 using detail::fill_ties_v2;
 using detail::kPrefetchAhead;
-using detail::key_beats_tied;
-using detail::load_less_equal;
 using detail::ModelSizes;
 using detail::prefetch_end;
 using detail::resolve_ball_d2_w;
@@ -227,300 +222,6 @@ std::size_t PlacementKernel::place_impl(PlacementKernel& k, const std::uint64_t*
 
 namespace {
 
-/// One candidate draw, byte-identical to BinSampler::sample /
-/// AliasTable::sample (the same bounded slot draw and one next() draw).
-/// `threshold == nullptr` selects the uniform fast path. The accept test is
-/// a [[likely]] branch rather than a conditional move: acceptance dominates
-/// for every profile in the paper, and a predicted-accept branch lets the
-/// destination slot load issue speculatively instead of waiting on the
-/// threshold and alias loads (a three-deep dependent-miss chain at 100k
-/// bins).
-NUBB_ALWAYS_INLINE inline std::size_t draw_candidate(const std::uint64_t* threshold,
-                                                     const std::uint32_t* alias,
-                                                     std::uint64_t n,
-                                                     Xoshiro256StarStar& rng) {
-  if (threshold != nullptr) {
-    const auto slot = static_cast<std::size_t>(rng.bounded(n));
-    if ((rng.next() >> 11) < threshold[slot]) [[likely]] {
-      return slot;
-    }
-    return static_cast<std::size_t>(alias[slot]);
-  }
-  return static_cast<std::size_t>(rng.bounded(n));
-}
-
-/// Draw a ball's whole candidate set before touching memory: the RNG calls
-/// stay in the historic order (bounded, next, bounded, next, ...) so the
-/// stream is byte-identical, but hoisting them ahead of the table reads lets
-/// the threshold (and then slot) cache misses of all candidates overlap
-/// instead of chaining — the software-pipelining shape from the PR-2
-/// profiling notes, applied within one ball.
-template <std::uint32_t D>
-NUBB_ALWAYS_INLINE inline void draw_candidates(const std::uint64_t* threshold,
-                                               const std::uint32_t* alias, std::uint64_t n,
-                                               Xoshiro256StarStar& rng,
-                                               std::size_t (&out)[D]) {
-  if (threshold != nullptr) {
-    std::size_t slot[D];
-    std::uint64_t mant[D];
-    for (std::uint32_t i = 0; i < D; ++i) {
-      slot[i] = static_cast<std::size_t>(rng.bounded(n));
-      mant[i] = rng.next() >> 11;
-    }
-    for (std::uint32_t i = 0; i < D; ++i) {
-      out[i] = mant[i] < threshold[slot[i]] ? slot[i]
-                                            : static_cast<std::size_t>(alias[slot[i]]);
-    }
-    return;
-  }
-  for (std::uint32_t i = 0; i < D; ++i) {
-    out[i] = static_cast<std::size_t>(rng.bounded(n));
-  }
-}
-
-/// Decide-and-commit for one Greedy[2] ball whose candidates are already
-/// resolved: the straight-line body shared by the v1 loop (candidates drawn
-/// per ball) and the stream-v2 loop (candidates read from the block buffer).
-/// Consumes at most one bounded draw, on a surviving tie.
-template <bool Fast64, TieBreak TB>
-NUBB_ALWAYS_INLINE inline void resolve_ball_d2(BinSlot* const slots, const std::size_t c0,
-                                               const std::size_t c1, const std::uint64_t w,
-                                               RunTotals& t, Xoshiro256StarStar& rng) {
-  if (c0 == c1) {
-    commit_amount<Fast64>(slots, c0, w, t);  // a duplicate pair is the set {c0}
-    return;
-  }
-  const BinSlot s0 = slots[c0];
-  const BinSlot s1 = slots[c1];
-  const std::uint64_t n0 = s0.num + w;
-  const std::uint64_t n1 = s1.num + w;
-  bool c1_less;
-  bool equal;
-  load_less_equal<Fast64>(n1, s1.cap, n0, s0.cap, c1_less, equal);
-  bool pick1;
-  if (c1_less) {
-    pick1 = true;
-  } else if (!equal) {
-    pick1 = false;
-  } else if constexpr (TB == TieBreak::kFirstChoice) {
-    pick1 = false;
-  } else if constexpr (TB == TieBreak::kUniform) {
-    pick1 = rng.bounded(2) != 0;
-  } else {
-    // Prefer the larger capacity; uniform only between equal ones.
-    pick1 = s0.cap == s1.cap ? rng.bounded(2) != 0 : s1.cap > s0.cap;
-  }
-  if (pick1) {
-    commit_known<Fast64>(slots, c1, n1, s1.cap, w, t);
-  } else {
-    commit_known<Fast64>(slots, c0, n0, s0.cap, w, t);
-  }
-}
-
-/// Greedy[2], the workhorse of every figure: straight-line body, no
-/// candidate buffer, no inner loops. NUBB_NOINLINE keeps each loop shape a
-/// separate compiled function — inlining them all into one run_loop body
-/// blows GCC's inlining and register budgets and costs double-digit
-/// percentages per ball.
-template <bool Fast64, TieBreak TB, class AmountFn>
-NUBB_NOINLINE RunTotals run_d2(BinSlot* const slots, const std::uint64_t* const threshold,
-                               const std::uint32_t* const alias, const std::uint64_t n,
-                               const std::uint64_t count, AmountFn next_amount, RunTotals t,
-                               Xoshiro256StarStar& rng) {
-  for (std::uint64_t ball = 0; ball < count; ++ball) {
-    const std::uint64_t w = next_amount(rng);
-    std::size_t c[2];
-    draw_candidates<2>(threshold, alias, n, rng, c);
-    resolve_ball_d2<Fast64, TB>(slots, c[0], c[1], w, t, rng);
-  }
-  return t;
-}
-
-/// Decide-and-commit for one Greedy[3] ball with resolved candidates — the
-/// register fold shared by the v1 and stream-v2 Greedy[3] loops.
-template <bool Fast64, TieBreak TB>
-NUBB_ALWAYS_INLINE inline void resolve_ball_d3(BinSlot* const slots, const std::size_t c0,
-                                               const std::size_t c1, const std::size_t c2,
-                                               const std::uint64_t w, RunTotals& t,
-                                               Xoshiro256StarStar& rng) {
-  {
-    // Fold the candidates left-to-right, keeping the best set with set
-    // semantics exactly like decide_destination (duplicates carry no
-    // tie-break weight). Ties are the common case for d = 3 on integer
-    // loads (~50% of balls on the mixed 1:10 profile), so every member's
-    // post-allocation numerator and capacity is retained in registers —
-    // the tie-break below never touches memory again.
-    std::size_t m0 = c0;
-    std::size_t m1 = 0;
-    std::size_t m2 = 0;
-    std::uint32_t bc = 1;
-    const BinSlot s0 = slots[c0];
-    std::uint64_t mn0 = s0.num + w;
-    std::uint64_t mp0 = s0.cap;
-    std::uint64_t mn1 = 0;
-    std::uint64_t mp1 = 0;
-    std::uint64_t mn2 = 0;
-    std::uint64_t mp2 = 0;
-    {
-      const BinSlot s = slots[c1];
-      const std::uint64_t num = s.num + w;
-      bool less;
-      bool equal;
-      load_less_equal<Fast64>(num, s.cap, mn0, mp0, less, equal);
-      if (less) {
-        m0 = c1;
-        mn0 = num;
-        mp0 = s.cap;
-      } else if (equal && c1 != m0) {
-        m1 = c1;
-        mn1 = num;
-        mp1 = s.cap;
-        bc = 2;
-      }
-    }
-    {
-      const BinSlot s = slots[c2];
-      const std::uint64_t num = s.num + w;
-      bool less;
-      bool equal;
-      load_less_equal<Fast64>(num, s.cap, mn0, mp0, less, equal);
-      if (less) {
-        m0 = c2;
-        bc = 1;
-        mn0 = num;
-        mp0 = s.cap;
-      } else if (equal && c2 != m0 && (bc == 1 || c2 != m1)) {
-        if (bc == 1) {
-          m1 = c2;
-          mn1 = num;
-          mp1 = s.cap;
-        } else {
-          m2 = c2;
-          mn2 = num;
-          mp2 = s.cap;
-        }
-        ++bc;
-      }
-    }
-
-    if (bc == 1) {
-      commit_known<Fast64>(slots, m0, mn0, mp0, w, t);
-      return;
-    }
-    if constexpr (TB == TieBreak::kFirstChoice) {
-      commit_known<Fast64>(slots, m0, mn0, mp0, w, t);  // recorded in choice order
-    } else if constexpr (TB == TieBreak::kUniform) {
-      const std::uint64_t pick = rng.bounded(bc);
-      if (pick == 0) {
-        commit_known<Fast64>(slots, m0, mn0, mp0, w, t);
-      } else if (pick == 1) {
-        commit_known<Fast64>(slots, m1, mn1, mp1, w, t);
-      } else {
-        commit_known<Fast64>(slots, m2, mn2, mp2, w, t);
-      }
-    } else {
-      // Keep only maximum-capacity members of the tie, in recorded order,
-      // from the retained registers.
-      std::uint64_t cmax = mp0 > mp1 ? mp0 : mp1;
-      if (bc == 3 && mp2 > cmax) cmax = mp2;
-      std::size_t fi[3];
-      std::uint64_t fn[3];
-      std::uint64_t fp[3];
-      std::uint32_t fc = 0;
-      if (mp0 == cmax) {
-        fi[fc] = m0;
-        fn[fc] = mn0;
-        fp[fc] = mp0;
-        ++fc;
-      }
-      if (mp1 == cmax) {
-        fi[fc] = m1;
-        fn[fc] = mn1;
-        fp[fc] = mp1;
-        ++fc;
-      }
-      if (bc == 3 && mp2 == cmax) {
-        fi[fc] = m2;
-        fn[fc] = mn2;
-        fp[fc] = mp2;
-        ++fc;
-      }
-      const std::uint64_t pick = fc == 1 ? 0 : rng.bounded(fc);
-      commit_known<Fast64>(slots, fi[pick], fn[pick], fp[pick], w, t);
-    }
-  }
-}
-
-/// Greedy[3]: the decide fold unrolled over exactly three candidates — no
-/// candidate buffer, no 64-entry best set, same set semantics and tie-break
-/// order as decide_destination.
-template <bool Fast64, TieBreak TB, class AmountFn>
-NUBB_NOINLINE RunTotals run_d3(BinSlot* const slots, const std::uint64_t* const threshold,
-                               const std::uint32_t* const alias, const std::uint64_t n,
-                               const std::uint64_t count, AmountFn next_amount, RunTotals t,
-                               Xoshiro256StarStar& rng) {
-  for (std::uint64_t ball = 0; ball < count; ++ball) {
-    const std::uint64_t w = next_amount(rng);
-    std::size_t c[3];
-    draw_candidates<3>(threshold, alias, n, rng, c);
-    resolve_ball_d3<Fast64, TB>(slots, c[0], c[1], c[2], w, t, rng);
-  }
-  return t;
-}
-
-/// Single choice: no decision to make.
-template <bool Fast64, class AmountFn>
-NUBB_NOINLINE RunTotals run_d1(BinSlot* const slots, const std::uint64_t* const threshold,
-                               const std::uint32_t* const alias, const std::uint64_t n,
-                               const std::uint64_t count, AmountFn next_amount, RunTotals t,
-                               Xoshiro256StarStar& rng) {
-  for (std::uint64_t ball = 0; ball < count; ++ball) {
-    const std::uint64_t w = next_amount(rng);
-    commit_amount<Fast64>(slots, draw_candidate(threshold, alias, n, rng), w, t);
-  }
-  return t;
-}
-
-/// General d / distinct mode: the per-ball pass with local commit state.
-template <bool Fast64, TieBreak TB, class AmountFn>
-NUBB_NOINLINE RunTotals run_generic(BinSlot* const slots,
-                                    const std::uint64_t* const threshold,
-                                    const std::uint32_t* const alias, const std::uint64_t n,
-                                    std::size_t* const choices, const std::uint32_t d,
-                                    const bool distinct, const std::uint64_t count,
-                                    AmountFn next_amount, RunTotals t,
-                                    Xoshiro256StarStar& rng) {
-  for (std::uint64_t ball = 0; ball < count; ++ball) {
-    const std::uint64_t w = next_amount(rng);
-    if (!distinct) {
-      for (std::uint32_t i = 0; i < d; ++i) {
-        choices[i] = draw_candidate(threshold, alias, n, rng);
-      }
-    } else {
-      for (std::uint32_t i = 0; i < d; ++i) {
-        for (;;) {
-          const std::size_t cand = draw_candidate(threshold, alias, n, rng);
-          bool seen = false;
-          for (std::uint32_t j = 0; j < i; ++j) {
-            if (choices[j] == cand) {
-              seen = true;
-              break;
-            }
-          }
-          if (!seen) {
-            choices[i] = cand;
-            break;
-          }
-        }
-      }
-    }
-    const std::size_t dest = detail::decide_destination<Fast64, TB>(
-        detail::SlotLoadView{slots}, choices, d, w, rng);
-    commit_amount<Fast64>(slots, dest, w, t);
-  }
-  return t;
-}
-
 // ---------------------------------------------------------------------------
 // Stream v2: batch-drawn blocks (docs/stream-v2.md). Per block of up to
 // kStreamBlock balls: the size phase (weighted games only), then one
@@ -532,7 +233,9 @@ NUBB_NOINLINE RunTotals run_generic(BinSlot* const slots,
 // pick, the alias accept, the tie) is a conditional move instead of a
 // mispredicted branch, the serial RNG chain runs unbroken across a whole
 // block, and every ball's destination slots are known a block ahead for
-// the cross-ball prefetch.
+// the cross-ball prefetch. NUBB_NOINLINE keeps each loop shape a separate
+// compiled function: inlining them all into one dispatch body blows GCC's
+// inlining and register budgets and costs double-digit percentages per ball.
 // ---------------------------------------------------------------------------
 
 template <bool Fast64, TieBreak TB, class Sizes>
@@ -655,59 +358,34 @@ NUBB_NOINLINE RunTotals run_v2_generic(BinSlot* const slots,
 
 }  // namespace
 
-/// Bulk dispatch shared by the unweighted and weighted games: pick the loop
-/// shape once, run it with every hot field — including the running maximum —
-/// in locals, and flush to the bin array at the end. The locals matter
-/// because the commit stage stores through a slot pointer, which under
-/// type-based aliasing forces reloads of any uint64-typed member it might
-/// alias on every ball if they live in memory. `next_amount(rng)` yields the
-/// ball's committed amount and is called first for every ball — a constant 1
-/// consuming no RNG draws for unit balls, the ball-size model's sample for
-/// the weighted game (the historic weighted RNG order).
-template <bool Fast64, TieBreak TB, class AmountFn>
-void PlacementKernel::run_loop(PlacementKernel& k, std::uint64_t count, AmountFn next_amount,
-                               Xoshiro256StarStar& rng) {
-  const AliasTable* const table = k.table_;
-  const std::uint64_t* const threshold =
-      table != nullptr ? table->threshold_data() : nullptr;
-  const std::uint32_t* const alias = table != nullptr ? table->alias_data() : nullptr;
-  const std::uint64_t n = k.n_;
-  BinSlot* const slots = k.slots_;
-
-  RunTotals t{*k.total_, k.max_load_->balls, k.max_load_->capacity, *k.argmax_};
-  if (k.d_ == 2 && !k.distinct_) {
-    t = run_d2<Fast64, TB>(slots, threshold, alias, n, count, next_amount, t, rng);
-  } else if (k.d_ == 3 && !k.distinct_) {
-    t = run_d3<Fast64, TB>(slots, threshold, alias, n, count, next_amount, t, rng);
-  } else if (k.d_ == 1) {
-    t = run_d1<Fast64>(slots, threshold, alias, n, count, next_amount, t, rng);
-  } else {
-    t = run_generic<Fast64, TB>(slots, threshold, alias, n, k.choices_, k.d_, k.distinct_,
-                                count, next_amount, t, rng);
-  }
-
-  *k.total_ = t.total;
-  *k.max_load_ = Load{t.max_num, t.max_cap};
-  *k.argmax_ = t.argmax;
-}
-
+/// Stream v1 in bulk: the per-ball path, ball after ball. v1 is the
+/// reference draw order that the goldens, the frozen-reference kernel tests
+/// and the exact oracle pin; bulk speed is stream v2's job.
 template <bool Fast64, TieBreak TB>
 void PlacementKernel::run_impl(PlacementKernel& k, std::uint64_t count,
                                Xoshiro256StarStar& rng) {
-  run_loop<Fast64, TB>(
-      k, count, [](Xoshiro256StarStar&) -> std::uint64_t { return 1; }, rng);
+  for (std::uint64_t ball = 0; ball < count; ++ball) {
+    place_impl<Fast64, TB, RngStream::kV1>(k, nullptr, 1, rng);
+  }
 }
 
+/// Weighted v1: each ball draws its size first, then its candidates (the
+/// historic weighted RNG order).
 template <bool Fast64, TieBreak TB>
 void PlacementKernel::run_weighted_impl(PlacementKernel& k, std::uint64_t count,
                                         const BallSizeModel& sizes, Xoshiro256StarStar& rng) {
-  run_loop<Fast64, TB>(
-      k, count, [&sizes](Xoshiro256StarStar& r) -> std::uint64_t { return sizes.sample(r); },
-      rng);
+  for (std::uint64_t ball = 0; ball < count; ++ball) {
+    const std::uint64_t w = sizes.sample(rng);
+    place_impl<Fast64, TB, RngStream::kV1>(k, nullptr, w, rng);
+  }
 }
 
-/// Stream-v2 bulk dispatch: same flush-at-the-end structure as run_loop,
-/// block buffers sized lazily on the first bulk run.
+/// Stream-v2 bulk dispatch: pick the loop shape once, run it with every hot
+/// field — including the running maximum — in locals, and flush to the bin
+/// array at the end. The locals matter because the commit stage stores
+/// through a slot pointer, which under type-based aliasing forces reloads of
+/// any uint64-typed member it might alias on every ball if they live in
+/// memory. Block buffers are sized lazily on the first bulk run.
 template <bool Fast64, TieBreak TB, class Sizes>
 void PlacementKernel::run_loop_v2(PlacementKernel& k, std::uint64_t count, Sizes sz,
                                   Xoshiro256StarStar& rng) {

@@ -24,12 +24,14 @@
 /// layout shared by BinArray and WeightedBinArray, so a random candidate
 /// probe touches one cache line, not two.
 ///
-/// RNG discipline: under stream v1 (the default) the kernel consumes random
-/// draws in exactly the same order and quantity as the historic unfused
-/// paths (the ball's size draw where the game is weighted, d candidate
-/// draws, then one bounded draw only when a tie survives capacity
-/// filtering), so every fixed-seed golden value is bit-identical to the
-/// pre-kernel code. Under stream v2 (GameConfig::stream == RngStream::kV2)
+/// RNG discipline: under stream v1 (GameConfig's default, the per-ball
+/// reference order) the kernel consumes random draws in exactly the same
+/// order and quantity as the historic unfused paths (the ball's size draw
+/// where the game is weighted, d candidate draws, then one bounded draw only
+/// when a tie survives capacity filtering), so every fixed-seed golden value
+/// is bit-identical to the pre-kernel code. A bulk v1 run is the per-ball
+/// body in a loop; bulk speed is stream v2's job. Under stream v2
+/// (GameConfig::stream == RngStream::kV2, the default of every CLI tool)
 /// each bulk run is consumed in blocks of up to kStreamBlock balls whose
 /// draws are batch-filled up front in three phases — sizes, then one 64-bit
 /// word per candidate (under an alias table the word's high product half is
@@ -284,9 +286,6 @@ class PlacementKernel {
   template <bool Fast64, TieBreak TB>
   static void run_weighted_impl(PlacementKernel& k, std::uint64_t count,
                                 const BallSizeModel& sizes, Xoshiro256StarStar& rng);
-  template <bool Fast64, TieBreak TB, class AmountFn>
-  static void run_loop(PlacementKernel& k, std::uint64_t count, AmountFn next_amount,
-                       Xoshiro256StarStar& rng);
   template <bool Fast64, TieBreak TB>
   static void run_v2_impl(PlacementKernel& k, std::uint64_t count, Xoshiro256StarStar& rng);
   template <bool Fast64, TieBreak TB>

@@ -31,15 +31,16 @@ namespace nubb {
 /// is identical; only the order in which draws leave the engine differs, so
 /// fixed-seed results differ between streams but distributions agree).
 ///
-///  * kV1 — the locked historic order: per ball, an optional size draw, then
-///    per candidate an interleaved (bounded slot, mantissa) pair, then one
-///    tie-break draw only when a tie survives. Every pre-existing golden
+///  * kV1 — the per-ball reference order: per ball, an optional size draw,
+///    then per candidate an interleaved (bounded slot, mantissa) pair, then
+///    one tie-break draw only when a tie survives. Every pre-existing golden
 ///    value is pinned to this stream.
 ///  * kV2 — the batch-drawn order of docs/stream-v2.md: each bulk run fills
-///    a block of up to 256 balls' draws up front (sizes, then all bounded
-///    slot draws via Xoshiro256StarStar::bounded_fill, then all mantissa
-///    draws), and resolves balls afterwards with tie-break draws at resolve
-///    time — the layout that unlocks cross-ball pipelining.
+///    a block of up to 256 balls' draws up front (sizes, then the
+///    candidates — one fused slot-and-mantissa word each under an alias
+///    table — then packed tie words), and resolves the block's balls
+///    afterwards without drawing — the layout that unlocks cross-ball
+///    pipelining.
 enum class RngStream : std::uint8_t {
   kV1 = 1,
   kV2 = 2,

@@ -7,7 +7,7 @@
 /// A `Scenario` packages one experiment family end-to-end — a
 /// per-replication collector body, the shard-state (de)serialization, and
 /// the report — behind a uniform interface, so drivers like `nubb_run`
-/// dispatch by name (`--experiment`, `--list`) instead of hard-wiring one
+/// dispatch by name (`--experiment`, `list`) instead of hard-wiring one
 /// code path per measurement. Because every scenario runs through
 /// `replicate_shard` / `merge_shards`, all of them shard across processes
 /// and merge bit-identically for free, including batched arrivals
@@ -46,7 +46,7 @@ struct ScenarioSpec {
 /// Config metadata describing one experiment, independent of whether the
 /// capacity vector is in memory (fresh run) or only its metadata survived
 /// (merge of state files). Travels in the `nubb.shard.v2` config block;
-/// `--merge` refuses shard sets whose metas differ.
+/// `nubb_run merge` refuses shard sets whose metas differ.
 struct RunMeta {
   std::string experiment;  ///< registry key
   std::uint64_t n = 0;
@@ -132,7 +132,7 @@ class Scenario {
   virtual void run_shard(const ScenarioSpec& spec, JsonWriter& w) const = 0;
 
   /// Parse-validate one shard's collector state; throws (JsonError or
-  /// std::runtime_error) on malformed input. Backs `--check-state` resume
+  /// std::runtime_error) on malformed input. Backs `check-state` resume
   /// probes: a state that passes will load cleanly at merge time.
   virtual void check_state(const JsonValue& state) const = 0;
 

@@ -13,7 +13,7 @@ CliParser::CliParser(std::string program_description)
 
 void CliParser::add_flag(const std::string& name, const std::string& help) {
   NUBB_REQUIRE_MSG(!options_.count(name), "duplicate CLI option");
-  options_[name] = Option{Kind::kFlag, help, "0", "0", false, {}};
+  options_[name] = Option{Kind::kFlag, help, "0", "0", false};
   order_.push_back(name);
 }
 
@@ -21,7 +21,7 @@ void CliParser::add_int(const std::string& name, std::int64_t default_value,
                         const std::string& help) {
   NUBB_REQUIRE_MSG(!options_.count(name), "duplicate CLI option");
   const std::string v = std::to_string(default_value);
-  options_[name] = Option{Kind::kInt, help, v, v, false, {}};
+  options_[name] = Option{Kind::kInt, help, v, v, false};
   order_.push_back(name);
 }
 
@@ -30,20 +30,14 @@ void CliParser::add_double(const std::string& name, double default_value,
   NUBB_REQUIRE_MSG(!options_.count(name), "duplicate CLI option");
   std::ostringstream os;
   os << default_value;
-  options_[name] = Option{Kind::kDouble, help, os.str(), os.str(), false, {}};
+  options_[name] = Option{Kind::kDouble, help, os.str(), os.str(), false};
   order_.push_back(name);
 }
 
 void CliParser::add_string(const std::string& name, const std::string& default_value,
                            const std::string& help) {
   NUBB_REQUIRE_MSG(!options_.count(name), "duplicate CLI option");
-  options_[name] = Option{Kind::kString, help, default_value, default_value, false, {}};
-  order_.push_back(name);
-}
-
-void CliParser::add_string_list(const std::string& name, const std::string& help) {
-  NUBB_REQUIRE_MSG(!options_.count(name), "duplicate CLI option");
-  options_[name] = Option{Kind::kStringList, help, "", "", false, {}};
+  options_[name] = Option{Kind::kString, help, default_value, default_value, false};
   order_.push_back(name);
 }
 
@@ -58,11 +52,6 @@ void CliParser::allow_positionals(const std::string& placeholder, const std::str
   positionals_allowed_ = true;
   positionals_placeholder_ = placeholder;
   positionals_help_ = help;
-}
-
-void CliParser::hide(const std::string& name) {
-  NUBB_REQUIRE_MSG(options_.count(name), "cannot hide an unregistered CLI option: " + name);
-  hidden_.insert(name);
 }
 
 bool CliParser::parse(int argc, const char* const* argv) {
@@ -115,20 +104,6 @@ bool CliParser::parse(int argc, const char* const* argv) {
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
-    } else if (opt.kind == Kind::kStringList) {
-      if (has_value) {
-        opt.values.push_back(value);
-      } else {
-        // Greedy: consume every following argument up to the next --option.
-        bool any = false;
-        while (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          opt.values.emplace_back(argv[++i]);
-          any = true;
-        }
-        if (!any) {
-          throw std::runtime_error("option --" + arg + " expects at least one value");
-        }
-      }
     } else {
       if (!has_value) {
         if (i + 1 >= argc) throw std::runtime_error("option --" + arg + " expects a value");
@@ -184,10 +159,6 @@ const std::string& CliParser::get_string(const std::string& name) const {
   return lookup(name, Kind::kString).value;
 }
 
-const std::vector<std::string>& CliParser::get_string_list(const std::string& name) const {
-  return lookup(name, Kind::kStringList).values;
-}
-
 bool CliParser::was_set(const std::string& name) const {
   const auto it = options_.find(name);
   NUBB_REQUIRE_MSG(it != options_.end(), "CLI option was never registered: " + name);
@@ -209,7 +180,6 @@ std::string CliParser::help_text() const {
   }
   os << "\nOptions:\n";
   for (const auto& name : order_) {
-    if (hidden_.count(name)) continue;
     const Option& opt = options_.at(name);
     os << "  --" << name;
     switch (opt.kind) {
@@ -224,14 +194,9 @@ std::string CliParser::help_text() const {
       case Kind::kString:
         os << " <string>";
         break;
-      case Kind::kStringList:
-        os << " <string...>";
-        break;
     }
     os << "\n      " << opt.help;
-    if (opt.kind != Kind::kFlag && opt.kind != Kind::kStringList) {
-      os << " (default: " << opt.fallback << ")";
-    }
+    if (opt.kind != Kind::kFlag) os << " (default: " << opt.fallback << ")";
     os << "\n";
   }
   os << "  --help\n      Show this message.\n";

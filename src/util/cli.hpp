@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,25 +25,17 @@ class CliParser {
   void add_double(const std::string& name, double default_value, const std::string& help);
   void add_string(const std::string& name, const std::string& default_value,
                   const std::string& help);
-  /// Repeatable string option (default: empty list). `--name a b c` consumes
-  /// following arguments greedily until the next `--option`; `--name=a` and
-  /// repeated occurrences append.
-  void add_string_list(const std::string& name, const std::string& help);
 
   /// Register a subcommand. Once any subcommand exists, a leading
   /// non-option argument must name one of them (`prog run --caps ...`);
-  /// invocations that start with an option keep working with an empty
-  /// subcommand() — how legacy spellings stay valid.
+  /// invocations that start with an option get an empty subcommand() (the
+  /// binary's default action).
   void add_subcommand(const std::string& name, const std::string& help);
 
   /// Accept positional operands after the subcommand (`prog merge a b c`).
   /// `placeholder` names them in --help (e.g. "FILE..."). Without this
   /// call, positionals beyond the subcommand stay an error.
   void allow_positionals(const std::string& placeholder, const std::string& help);
-
-  /// Drop an option from --help while keeping it parseable — for legacy
-  /// alias spellings that must not clutter the documented surface.
-  void hide(const std::string& name);
 
   /// Parse argv. Returns false if `--help` was requested (help printed to
   /// stdout) — callers should then exit 0. Throws std::runtime_error on
@@ -55,13 +46,12 @@ class CliParser {
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
-  const std::vector<std::string>& get_string_list(const std::string& name) const;
 
   /// True if the user explicitly supplied the option on the command line.
   bool was_set(const std::string& name) const;
 
   /// The parsed subcommand; empty when the invocation started with an
-  /// option (legacy spelling) or no subcommands are registered.
+  /// option or no subcommands are registered.
   const std::string& subcommand() const noexcept { return subcommand_; }
 
   /// Positional operands in order (requires allow_positionals()).
@@ -70,14 +60,13 @@ class CliParser {
   std::string help_text() const;
 
  private:
-  enum class Kind { kFlag, kInt, kDouble, kString, kStringList };
+  enum class Kind { kFlag, kInt, kDouble, kString };
   struct Option {
     Kind kind;
     std::string help;
     std::string value;      // current value, textual
     std::string fallback;   // default, textual
     bool set_by_user = false;
-    std::vector<std::string> values;  // kStringList only
   };
 
   const Option& lookup(const std::string& name, Kind kind) const;
@@ -86,7 +75,6 @@ class CliParser {
   std::map<std::string, Option> options_;
   std::vector<std::string> order_;  // registration order for --help
   std::vector<std::pair<std::string, std::string>> subcommands_;  // (name, help)
-  std::set<std::string> hidden_;
   bool positionals_allowed_ = false;
   std::string positionals_placeholder_;
   std::string positionals_help_;

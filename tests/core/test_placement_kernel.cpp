@@ -231,13 +231,12 @@ TEST(PlacementKernelTest, ValidatesOnConstruction) {
   EXPECT_THROW(PlacementKernel(bins, mismatched, GameConfig{}), PreconditionError);
 }
 
-// --- Greedy[3] straight-line body vs the generic candidate loop ------------
+// --- Greedy[3] bulk run vs per-ball stepping -------------------------------
 //
-// The kernel's bulk run() uses a hand-unrolled three-candidate body while the
-// per-ball place_one() goes through the generic decide_destination loop; the
-// two are independent implementations of the same decide stage and must play
-// identical games (same allocation, same RNG consumption) on profiles with
-// frequent exact ties (~50% of d=3 balls tie on the mixed 1:10 profile).
+// Under stream v1 the bulk run() is the per-ball body in a loop, so this pins
+// that a bulk v1 run and place_one() stepping play identical games (same
+// allocation, same RNG consumption) on profiles with frequent exact ties
+// (~50% of d=3 balls tie on the mixed 1:10 profile).
 
 std::vector<std::uint64_t> power_law_profile(std::size_t n, std::uint64_t seed) {
   Xoshiro256StarStar rng(seed);
@@ -430,6 +429,19 @@ TEST(PlacementKernelWeightedTest, MatchesFrozenReferenceAcrossConfigurations) {
               EXPECT_EQ(ref.total, ker.total) << "weighted case " << case_index;
               EXPECT_EQ(ref.rng_state, ker.rng_state)
                   << "weighted case " << case_index << " (RNG consumption diverged)";
+              if (distinct) {
+                // Stream v2 defines distinct mode to consume the v1 order, so
+                // the frozen reference holds for it unchanged.
+                cfg.stream = RngStream::kV2;
+                const auto v2 =
+                    kernel_weighted_outcome(caps, *sampler, sizes, cfg, /*balls=*/200, seed);
+                EXPECT_EQ(ref.weights, v2.weights) << "weighted v2 case " << case_index;
+                EXPECT_EQ(ref.max_load, v2.max_load) << "weighted v2 case " << case_index;
+                EXPECT_EQ(ref.argmax, v2.argmax) << "weighted v2 case " << case_index;
+                EXPECT_EQ(ref.total, v2.total) << "weighted v2 case " << case_index;
+                EXPECT_EQ(ref.rng_state, v2.rng_state)
+                    << "weighted v2 case " << case_index << " (RNG consumption diverged)";
+              }
             }
           }
         }

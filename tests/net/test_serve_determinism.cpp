@@ -289,6 +289,19 @@ TEST(ServeDeterminism, WeightedBatchesMatchOfflineRunWeighted) {
   expect_weighted_matches(service.snapshot(), offline_weighted(cfg, 50, 3, 3));
 }
 
+TEST(ServeDeterminism, V2WeightedBatchMatchesOfflineRunWeighted) {
+  // The daemon's default weighted path: under stream v2 one BatchPlace is
+  // one kernel run, and the constant size model's v2 size phase draws
+  // nothing, so a served weight-3 batch of 50 must equal one offline
+  // run_weighted of 50 weight-3 balls over the same seed.
+  ServiceConfig cfg = make_config(RngStream::kV2);
+  cfg.max_weight = 3;
+  PlacementService service(cfg);
+  service.batch_place(BatchPlaceRequest{kNoTicket, 50, 3});
+
+  expect_weighted_matches(service.snapshot(), offline_weighted(cfg, 50, 3, 3));
+}
+
 TEST(ServeDeterminism, WeightedSplitChoiceNeverMovesABall) {
   // Request batching is invisible for weighted balls too (stream v1), and
   // a single Place carrying weight w is the same commit as a 1-ball batch.

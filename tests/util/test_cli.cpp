@@ -138,44 +138,6 @@ TEST(CliTest, EmptyNumericValueThrows) {
   EXPECT_THROW(cli2.parse(dbl_args.argc(), dbl_args.argv()), std::runtime_error);
 }
 
-TEST(CliTest, StringListConsumesGreedily) {
-  CliParser cli = make_parser();
-  cli.add_string_list("merge", "files");
-  Argv args({"--merge", "a.json", "b.json", "c.json", "--reps", "7"});
-  ASSERT_TRUE(cli.parse(args.argc(), args.argv()));
-  EXPECT_EQ(cli.get_string_list("merge"),
-            (std::vector<std::string>{"a.json", "b.json", "c.json"}));
-  EXPECT_EQ(cli.get_int("reps"), 7);
-  EXPECT_TRUE(cli.was_set("merge"));
-}
-
-TEST(CliTest, StringListEqualsAndRepeatsAppend) {
-  CliParser cli = make_parser();
-  cli.add_string_list("merge", "files");
-  Argv args({"--merge=a.json", "--merge", "b.json", "c.json"});
-  ASSERT_TRUE(cli.parse(args.argc(), args.argv()));
-  EXPECT_EQ(cli.get_string_list("merge"),
-            (std::vector<std::string>{"a.json", "b.json", "c.json"}));
-}
-
-TEST(CliTest, StringListDefaultsEmptyAndRequiresValues) {
-  CliParser cli = make_parser();
-  cli.add_string_list("merge", "files");
-  Argv none({});
-  ASSERT_TRUE(cli.parse(none.argc(), none.argv()));
-  EXPECT_TRUE(cli.get_string_list("merge").empty());
-
-  CliParser cli2 = make_parser();
-  cli2.add_string_list("merge", "files");
-  Argv bare({"--merge"});
-  EXPECT_THROW(cli2.parse(bare.argc(), bare.argv()), std::runtime_error);
-
-  CliParser cli3 = make_parser();
-  cli3.add_string_list("merge", "files");
-  Argv followed({"--merge", "--verbose"});
-  EXPECT_THROW(cli3.parse(followed.argc(), followed.argv()), std::runtime_error);
-}
-
 TEST(CliTest, FlagWithValueThrows) {
   CliParser cli = make_parser();
   Argv args({"--verbose=1"});
@@ -254,21 +216,6 @@ TEST(CliTest, PositionalsWithoutAllowanceStillThrow) {
   cli.add_subcommand("run", "run it");
   Argv args({"run", "stray"});
   EXPECT_THROW(cli.parse(args.argc(), args.argv()), std::runtime_error);
-}
-
-TEST(CliTest, HiddenOptionParsesButLeavesHelp) {
-  CliParser cli = make_parser();
-  cli.hide("csv");
-  Argv args({"--csv", "out"});
-  ASSERT_TRUE(cli.parse(args.argc(), args.argv()));
-  EXPECT_EQ(cli.get_string("csv"), "out");
-  EXPECT_EQ(cli.help_text().find("--csv"), std::string::npos);
-  EXPECT_NE(cli.help_text().find("--reps"), std::string::npos);
-}
-
-TEST(CliTest, HidingUnregisteredOptionThrows) {
-  CliParser cli = make_parser();
-  EXPECT_THROW(cli.hide("nope"), PreconditionError);
 }
 
 TEST(CliTest, HelpTextNamesSubcommandsAndOperands) {

@@ -3,10 +3,11 @@
 /// Runs a Monte-Carlo balls-into-bins experiment described entirely on the
 /// command line, dispatching through the scenario registry
 /// (core/scenario.hpp). Subcommands: `run` (the default when the first
-/// argument is an option), `merge`, `check-state`, `list`; the legacy
-/// `--list` / `--merge` / `--check-state` spellings keep working.
+/// argument is an option), `merge`, `check-state`, `list`.
 /// `nubb_run list` names every registered experiment, `--experiment NAME`
-/// picks one (default: max-load). Examples:
+/// picks one (default: max-load). The game flags are the ones nubb_serve
+/// and nubb_load take (tool_common.hpp), so runs use stream v2 unless
+/// `--stream v1` asks for the per-ball reference order. Examples:
 ///
 ///   # the paper's Figure-6 midpoint: 500 small + 500 big bins
 ///   nubb_run --caps 500x1,500x10
@@ -31,7 +32,7 @@
 /// replication chunks and writes its collector state as JSON; the merge
 /// step folds the states in global chunk order, reproducing the
 /// single-process result bit-identically (scripts/shard_run.sh wraps the
-/// fan-out and can resume interrupted runs via --check-state):
+/// fan-out and can resume interrupted runs via check-state):
 ///
 ///   nubb_run --caps 500x1,500x10 --reps 100000 --shard 0/4 --out s0.json
 ///   nubb_run --caps 500x1,500x10 --reps 100000 --shard 1/4 --out s1.json
@@ -96,7 +97,7 @@ void require_shard_format(const JsonValue& doc, const std::string& path) {
   }
 }
 
-/// `--list`: one line per registered experiment, `NAME  description`.
+/// `list`: one line per registered experiment, `NAME  description`.
 void print_experiment_list(std::ostream& out) {
   const auto scenarios = ScenarioRegistry::global().list();
   std::size_t width = 0;
@@ -108,7 +109,7 @@ void print_experiment_list(std::ostream& out) {
   }
 }
 
-/// Report plumbing shared by fresh runs and `--merge`: write the JSON
+/// Report plumbing shared by fresh runs and `merge`: write the JSON
 /// envelope (when requested), hand the positioned ReportContext to
 /// `produce` — which runs the scenario's typed fold or its shard-state
 /// merge — and close with the elapsed time. One code path for both, so
@@ -149,6 +150,9 @@ int report_run(const RunMeta& meta, const std::string& json_path, const Timer& t
 /// Merge mode: load shard state files, validate that they belong to one
 /// experiment, and hand the scenario the collector states.
 int run_merge(const std::vector<std::string>& files, const std::string& json_path) {
+  if (files.empty()) {
+    throw std::runtime_error("merge needs at least one shard state file operand");
+  }
   Timer timer;
   RunMeta meta;
   std::vector<JsonValue> states;
@@ -168,7 +172,6 @@ int run_merge(const std::vector<std::string>& files, const std::string& json_pat
     }
     states.push_back(doc.at("state"));
   }
-  if (states.empty()) throw std::runtime_error("--merge needs at least one state file");
 
   const Scenario& scenario = ScenarioRegistry::global().require(meta.experiment);
   return report_run(meta, json_path, timer, [&scenario, &states](const ReportContext& ctx) {
@@ -176,7 +179,7 @@ int run_merge(const std::vector<std::string>& files, const std::string& json_pat
   });
 }
 
-/// `--check-state`: does an existing state file belong to this exact
+/// `check-state`: does an existing state file belong to this exact
 /// experiment configuration (and shard coordinate, when given), and does
 /// its collector state parse? Powers scripts/shard_run.sh resume — exit 0
 /// means the shard can be skipped, non-zero means it must be (re-)run.
@@ -214,34 +217,16 @@ int main(int argc, char** argv) {
                      "configuration options; exit 0 iff a resumed run may skip it");
   cli.add_subcommand("list", "list the registered experiments and exit");
   cli.allow_positionals("FILE...", "state files for the merge / check-state subcommands");
-  cli.add_string("caps", "", "capacity classes, e.g. 500x1,500x10 (overrides generators)");
-  cli.add_int("n", 1000, "bins for the --random-mean / --zipf generators");
+  tool::add_game_options(cli, "");
+  cli.add_int("n", 1000, "bins for the --random-mean / --zipf generators (without --caps)");
   cli.add_double("random-mean", 0.0, "Section-4.2 capacities 1+Bin(7,(c-1)/7) with this mean");
   cli.add_double("zipf-alpha", -1.0, "power-law capacities with this tail exponent");
   cli.add_int("zipf-max", 64, "largest capacity for --zipf-alpha");
-  cli.add_string("policy", "proportional", "proportional | uniform | power | top-only");
-  cli.add_double("exponent", 2.0, "exponent t for --policy power");
-  cli.add_int("threshold", 2, "capacity threshold for --policy top-only");
-  cli.add_int("d", 2, "choices per ball");
-  cli.add_string("tie-break", "capacity", "capacity (Algorithm 1) | uniform | first");
   cli.add_double("balls-factor", 1.0, "m = factor * C");
   cli.add_int("batch", 1, "batch size (> 1 = stale-information parallel arrivals)");
-  cli.add_string("stream", "v1",
-                 "RNG draw-order stream: v1 (locked historic order) | v2 (batch-drawn "
-                 "fast path, own golden values; see docs/stream-v2.md)");
-  cli.add_string("huge-pages", "auto",
-                 "huge-page backing for the bin state: auto (advise when the slot array "
-                 "spans >= 2 MiB) | on (always advise) | off; results are bit-identical "
-                 "across settings (see docs/memory-layout.md)");
-  cli.add_string("simd", "auto",
-                 "vectorised stream-v2 resolve kernels: auto (cpuid + env NUBB_SIMD) | "
-                 "on | off; results are bit-identical across settings (see "
-                 "docs/stream-v2.md)");
   cli.add_string("experiment", "max-load",
-                 "registered experiment to run (see --list for the registry)");
-  cli.add_flag("list", "list the registered experiments and exit");
+                 "registered experiment to run (`nubb_run list` names them)");
   cli.add_int("reps", 1000, "Monte-Carlo replications");
-  cli.add_int("seed", 1, "base RNG seed");
   cli.add_int("chunks", 0,
               "replication chunk count (0 = the pinned 16-chunk layout; raise it to "
               "shard/thread wider — all shards of one run must agree)");
@@ -254,18 +239,7 @@ int main(int argc, char** argv) {
                  "run only shard INDEX/COUNT of the replication chunks and write the "
                  "collector state with --out");
   cli.add_string("out", "", "output file for the --shard state");
-  cli.add_string_list("merge",
-                      "merge shard state files (from --shard runs) and report the combined "
-                      "result; bit-identical to the unsharded run");
-  cli.add_string("check-state", "",
-                 "validate an existing --shard state file against this configuration "
-                 "(exit 0 iff a resumed run may skip the shard)");
   cli.add_flag("version", "print the library version and exit");
-  // Legacy spellings of the subcommands (pre-subcommand scripts use them);
-  // they keep parsing but stay out of --help.
-  cli.hide("merge");
-  cli.hide("check-state");
-  cli.hide("list");
 
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -274,47 +248,29 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Fold the subcommand spellings onto the legacy mode selectors, so one
-    // dispatch below serves both surfaces.
     const std::string& sub = cli.subcommand();
-    std::vector<std::string> merge_files = cli.get_string_list("merge");
-    std::string check_state_file = cli.get_string("check-state");
-    if (sub == "merge") {
-      if (cli.positionals().empty()) {
-        throw std::runtime_error("merge needs at least one shard state file operand");
-      }
-      merge_files.insert(merge_files.end(), cli.positionals().begin(),
-                         cli.positionals().end());
-    } else if (sub == "check-state") {
-      if (cli.positionals().size() != 1) {
-        throw std::runtime_error("check-state takes exactly one state file operand");
-      }
-      if (!check_state_file.empty()) {
-        throw std::runtime_error("state file given both as operand and as --check-state");
-      }
-      check_state_file = cli.positionals().front();
-    } else if (!cli.positionals().empty()) {
+    if (sub == "check-state" && cli.positionals().size() != 1) {
+      throw std::runtime_error("check-state takes exactly one state file operand");
+    }
+    if (sub != "merge" && sub != "check-state" && !cli.positionals().empty()) {
       throw std::runtime_error("unexpected operand: " + cli.positionals().front());
     }
 
-    if (cli.flag("list") || sub == "list") {
+    if (sub == "list") {
       print_experiment_list(std::cout);
       return 0;
     }
 
-    // --- merge mode: everything comes from the state files ------------------
-    if (!merge_files.empty()) {
+    // --- merge: everything comes from the state files ------------------------
+    if (sub == "merge") {
       if (!cli.get_string("shard").empty()) {
         throw std::runtime_error("merge and --shard are mutually exclusive");
-      }
-      if (!check_state_file.empty()) {
-        throw std::runtime_error("merge and check-state are mutually exclusive");
       }
       if (cli.was_set("experiment")) {
         throw std::runtime_error(
             "merge derives the experiment from the state files; drop --experiment");
       }
-      return run_merge(merge_files, cli.get_string("json"));
+      return run_merge(cli.positionals(), cli.get_string("json"));
     }
 
     const Scenario& scenario =
@@ -400,9 +356,9 @@ int main(int argc, char** argv) {
     std::optional<std::pair<std::uint64_t, std::uint64_t>> shard;
     if (!cli.get_string("shard").empty()) shard = parse_shard(cli.get_string("shard"));
 
-    // --- check-state mode: validate an existing shard state, run nothing ----
-    if (!check_state_file.empty()) {
-      return run_check_state(scenario, meta, check_state_file, shard);
+    // --- check-state: validate an existing shard state, run nothing --------
+    if (sub == "check-state") {
+      return run_check_state(scenario, meta, cli.positionals().front(), shard);
     }
 
     // --- shard mode: run this slice, write state, exit -----------------------
@@ -412,7 +368,7 @@ int main(int argc, char** argv) {
       }
       if (!cli.get_string("json").empty()) {
         throw std::runtime_error(
-            "--shard writes state to --out, not results; use --json on the --merge step");
+            "--shard writes state to --out, not results; use --json on the merge step");
       }
       spec.exp.shard_index = shard->first;
       spec.exp.shard_count = shard->second;

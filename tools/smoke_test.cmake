@@ -4,8 +4,9 @@
 #   cmake -DNUBB_RUN=<path> -DWORK_DIR=<dir> -P smoke_test.cmake
 #
 # Checks: exit codes, table output shape, JSON output shape, that a bad
-# flag fails with a non-zero exit code, and that a sharded run merged via
-# --merge reproduces the unsharded JSON results bit-for-bit.
+# flag fails with a non-zero exit code, that a sharded run merged via
+# `merge` reproduces the unsharded JSON results bit-for-bit under both
+# streams, and that a run without --stream is a stream-v2 run.
 
 if(NOT NUBB_RUN)
   message(FATAL_ERROR "NUBB_RUN not set")
@@ -16,7 +17,8 @@ file(REMOVE "${json_file}")
 
 # --- happy path: tiny two-class run with JSON output ------------------------
 execute_process(
-  COMMAND "${NUBB_RUN}" --caps 20x1,20x10 --d 2 --reps 50 --seed 7 --json "${json_file}"
+  COMMAND "${NUBB_RUN}" --caps 20x1,20x10 --d 2 --reps 50 --seed 7 --stream v1
+          --json "${json_file}"
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
   RESULT_VARIABLE rc)
@@ -53,7 +55,7 @@ file(REMOVE "${shard0}" "${shard1}" "${merged_json}")
 
 foreach(shard 0 1)
   execute_process(
-    COMMAND "${NUBB_RUN}" --caps 20x1,20x10 --d 2 --reps 50 --seed 7
+    COMMAND "${NUBB_RUN}" --caps 20x1,20x10 --d 2 --reps 50 --seed 7 --stream v1
             --shard "${shard}/2" --out "${WORK_DIR}/smoke_shard${shard}.json"
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
@@ -70,12 +72,12 @@ if(pos EQUAL -1)
 endif()
 
 execute_process(
-  COMMAND "${NUBB_RUN}" --merge "${shard0}" "${shard1}" --json "${merged_json}"
+  COMMAND "${NUBB_RUN}" merge "${shard0}" "${shard1}" --json "${merged_json}"
   OUTPUT_VARIABLE merge_out
   ERROR_VARIABLE merge_err
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "nubb_run --merge exited with ${rc}\nstderr:\n${merge_err}")
+  message(FATAL_ERROR "nubb_run merge exited with ${rc}\nstderr:\n${merge_err}")
 endif()
 
 # The merged max_load block must equal the unsharded run's to the last
@@ -123,12 +125,12 @@ foreach(shard 0 1)
 endforeach()
 
 execute_process(
-  COMMAND "${NUBB_RUN}" --merge "${v2_shard0}" "${v2_shard1}" --json "${v2_merged}"
+  COMMAND "${NUBB_RUN}" merge "${v2_shard0}" "${v2_shard1}" --json "${v2_merged}"
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "nubb_run --merge of v2 shards exited with ${rc}\nstderr:\n${err}")
+  message(FATAL_ERROR "nubb_run merge of v2 shards exited with ${rc}\nstderr:\n${err}")
 endif()
 
 file(READ "${v2_json}" v2_single_json)
@@ -148,34 +150,55 @@ if(single_max STREQUAL v2_single_max)
   message(FATAL_ERROR "--stream v2 produced the v1 fixed-seed result; the flag is not wired:\n${v2_single_max}")
 endif()
 
+# A run without --stream is a stream-v2 run: v2 is the default of every tool.
+set(default_json "${WORK_DIR}/smoke_default_stream.json")
+file(REMOVE "${default_json}")
+execute_process(
+  COMMAND "${NUBB_RUN}" --caps 20x1,20x10 --d 2 --reps 50 --seed 7 --json "${default_json}"
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "nubb_run without --stream exited with ${rc}\nstderr:\n${err}")
+endif()
+file(READ "${default_json}" default_json_text)
+string(REGEX MATCH "\"max_load\":{[^}]*}" default_max "${default_json_text}")
+if(NOT default_max STREQUAL v2_single_max)
+  message(FATAL_ERROR "a run without --stream differs from --stream v2:\n"
+                      "default: ${default_max}\nv2:      ${v2_single_max}")
+endif()
+
 # Mixing streams in one shard set must be refused.
 execute_process(
-  COMMAND "${NUBB_RUN}" --merge "${shard0}" "${v2_shard1}"
+  COMMAND "${NUBB_RUN}" merge "${shard0}" "${v2_shard1}"
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
   RESULT_VARIABLE rc)
 if(rc EQUAL 0)
-  message(FATAL_ERROR "nubb_run --merge accepted a v1 shard and a v2 shard together")
+  message(FATAL_ERROR "nubb_run merge accepted a v1 shard and a v2 shard together")
 endif()
 
 # Merging an incomplete shard set must fail loudly.
 execute_process(
-  COMMAND "${NUBB_RUN}" --merge "${shard0}"
+  COMMAND "${NUBB_RUN}" merge "${shard0}"
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
   RESULT_VARIABLE rc)
 if(rc EQUAL 0)
-  message(FATAL_ERROR "nubb_run --merge with a missing shard should fail but exited 0")
+  message(FATAL_ERROR "nubb_run merge with a missing shard should fail but exited 0")
 endif()
 
-# --- every registered experiment runs (names discovered via --list) ----------
+# --- every registered experiment runs (names discovered via list) -----------
 execute_process(
-  COMMAND "${NUBB_RUN}" --list
+  COMMAND "${NUBB_RUN}" list
   OUTPUT_VARIABLE list_out
   ERROR_VARIABLE list_err
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "nubb_run --list exited with ${rc}\nstderr:\n${list_err}")
+  message(FATAL_ERROR "nubb_run list exited with ${rc}\nstderr:\n${list_err}")
+endif()
+if(NOT list_out MATCHES "max-load")
+  message(FATAL_ERROR "nubb_run list does not name max-load:\n${list_out}")
 endif()
 string(REGEX MATCHALL "\n  [a-z0-9-]+" experiment_lines "${list_out}")
 set(experiment_names "")
@@ -185,7 +208,7 @@ foreach(line IN LISTS experiment_lines)
 endforeach()
 list(LENGTH experiment_names experiment_count)
 if(experiment_count LESS 4)
-  message(FATAL_ERROR "nubb_run --list names ${experiment_count} experiments, expected >= 4:\n${list_out}")
+  message(FATAL_ERROR "nubb_run list names ${experiment_count} experiments, expected >= 4:\n${list_out}")
 endif()
 foreach(name IN LISTS experiment_names)
   execute_process(
@@ -240,13 +263,13 @@ foreach(shard 0 1)
 endforeach()
 
 execute_process(
-  COMMAND "${NUBB_RUN}" --merge "${batched_shard0}" "${batched_shard1}"
+  COMMAND "${NUBB_RUN}" merge "${batched_shard0}" "${batched_shard1}"
           --json "${batched_merged}"
   OUTPUT_VARIABLE merge_out
   ERROR_VARIABLE merge_err
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "nubb_run --merge (batched) exited with ${rc}\nstderr:\n${merge_err}")
+  message(FATAL_ERROR "nubb_run merge (batched) exited with ${rc}\nstderr:\n${merge_err}")
 endif()
 
 file(READ "${batched_json}" batched_single_json)
@@ -293,20 +316,7 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "nubb_run --caps bogus should fail but exited 0")
 endif()
 
-# --- subcommand surface: run | merge | check-state | list -------------------
-# Same operations as the legacy spellings above; both must keep working.
-execute_process(
-  COMMAND "${NUBB_RUN}" list
-  OUTPUT_VARIABLE sub_list_out
-  ERROR_VARIABLE sub_list_err
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "nubb_run list exited with ${rc}\nstderr:\n${sub_list_err}")
-endif()
-if(NOT sub_list_out MATCHES "max-load")
-  message(FATAL_ERROR "nubb_run list does not name max-load:\n${sub_list_out}")
-endif()
-
+# --- subcommand surface: run | check-state (merge and list ran above) -------
 execute_process(
   COMMAND "${NUBB_RUN}" run --caps 50x1,50x4 --reps 200 --seed 7
   OUTPUT_VARIABLE sub_run_out
@@ -318,30 +328,12 @@ endif()
 
 execute_process(
   COMMAND "${NUBB_RUN}" check-state "${shard0}" --caps 20x1,20x10 --d 2 --reps 50
-          --seed 7 --shard 0/2
+          --seed 7 --stream v1 --shard 0/2
   OUTPUT_VARIABLE sub_check_out
   ERROR_VARIABLE sub_check_err
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "nubb_run check-state exited with ${rc}\nstderr:\n${sub_check_err}")
-endif()
-
-set(sub_merged "${WORK_DIR}/smoke_sub_merged.json")
-execute_process(
-  COMMAND "${NUBB_RUN}" merge "${shard0}" "${shard1}" --json "${sub_merged}"
-  OUTPUT_VARIABLE sub_merge_out
-  ERROR_VARIABLE sub_merge_err
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "nubb_run merge exited with ${rc}\nstderr:\n${sub_merge_err}")
-endif()
-file(READ "${sub_merged}" sub_merged_json)
-file(READ "${merged_json}" legacy_merged_json)
-string(REGEX MATCH "\"max_load\":{[^}]*}" sub_merged_max "${sub_merged_json}")
-string(REGEX MATCH "\"max_load\":{[^}]*}" legacy_merged_max "${legacy_merged_json}")
-if(sub_merged_max STREQUAL "" OR NOT sub_merged_max STREQUAL legacy_merged_max)
-  message(FATAL_ERROR "nubb_run merge differs from the legacy --merge result:\n"
-                      "subcommand: ${sub_merged_max}\nlegacy:     ${legacy_merged_max}")
 endif()
 
 execute_process(

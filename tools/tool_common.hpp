@@ -60,8 +60,8 @@ inline TieBreak parse_tie_break(const std::string& name) {
   throw std::runtime_error("unknown --tie-break (capacity|uniform|first): " + name);
 }
 
-/// The game option group: how the serving binaries describe the bins and
-/// the placement process. `default_caps` differs per binary (the offline
+/// The game option group: how every CLI binary describes the bins and the
+/// placement process. `default_caps` differs per binary (the offline
 /// driver has capacity generators; the daemon wants an explicit shape).
 inline void add_game_options(CliParser& cli, const std::string& default_caps) {
   cli.add_string("caps", default_caps, "capacity classes, e.g. 500x1,500x10");
@@ -71,15 +71,15 @@ inline void add_game_options(CliParser& cli, const std::string& default_caps) {
   cli.add_int("d", 2, "choices per ball");
   cli.add_string("tie-break", "capacity", "capacity (Algorithm 1) | uniform | first");
   cli.add_string("stream", "v2",
-                 "RNG draw-order stream: v1 (locked historic order) | v2 (batch-drawn "
-                 "fast path; see docs/stream-v2.md)");
+                 "RNG draw-order stream: v2 (batch-drawn bulk engine) | v1 (per-ball "
+                 "reference order); see docs/stream-v2.md");
   cli.add_string("huge-pages", "auto",
                  "huge-page backing for the bin state: auto | on | off (see "
                  "docs/memory-layout.md)");
   cli.add_string("simd", "auto",
                  "vectorised stream-v2 resolve kernels: auto | on | off (see "
                  "docs/stream-v2.md)");
-  cli.add_int("seed", 1, "RNG seed of the served placement sequence");
+  cli.add_int("seed", 1, "base RNG seed");
 }
 
 /// Materialise the game option group into a ServiceConfig (capacities,
