@@ -350,7 +350,7 @@ class GameFixture {
  public:
   GameFixture(const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
               const GameConfig& game)
-      : sampler_(BinSampler::from_policy(policy, capacities)), game_(game) {}
+      : sampler_(BinSampler::from_policy(policy, capacities, game.memory)), game_(game) {}
 
   GameResult run_one(Xoshiro256StarStar& rng, BinArray& bins) const;
 

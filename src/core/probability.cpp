@@ -1,5 +1,6 @@
 #include "core/probability.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -43,39 +44,28 @@ SelectionPolicy SelectionPolicy::custom(std::vector<double> weights) {
   return p;
 }
 
+void SelectionPolicy::require_weights_for(const std::vector<std::uint64_t>& capacities) const {
+  NUBB_REQUIRE_MSG(!capacities.empty(), "selection policy applied to empty bin set");
+  if (kind_ == Kind::kTopCapacityOnly) {
+    // threshold_ >= 1, so any bin that reaches it carries positive weight.
+    const std::uint64_t t = threshold_;
+    NUBB_REQUIRE_MSG(
+        std::any_of(capacities.begin(), capacities.end(), [t](std::uint64_t c) { return c >= t; }),
+        "top_capacity_only threshold excludes every bin (no probability mass)");
+  }
+  if (kind_ == Kind::kCustom) {
+    NUBB_REQUIRE_MSG(custom_.size() == capacities.size(),
+                     "custom weights size does not match the number of bins");
+  }
+}
+
 std::vector<double> SelectionPolicy::weights(
     const std::vector<std::uint64_t>& capacities) const {
-  NUBB_REQUIRE_MSG(!capacities.empty(), "selection policy applied to empty bin set");
-  std::vector<double> w(capacities.size());
-  switch (kind_) {
-    case Kind::kUniform:
-      for (auto& x : w) x = 1.0;
-      break;
-    case Kind::kProportionalToCapacity:
-      for (std::size_t i = 0; i < w.size(); ++i) w[i] = static_cast<double>(capacities[i]);
-      break;
-    case Kind::kCapacityPower:
-      for (std::size_t i = 0; i < w.size(); ++i) {
-        w[i] = std::pow(static_cast<double>(capacities[i]), exponent_);
-      }
-      break;
-    case Kind::kTopCapacityOnly: {
-      double total = 0.0;
-      for (std::size_t i = 0; i < w.size(); ++i) {
-        w[i] = capacities[i] >= threshold_ ? static_cast<double>(capacities[i]) : 0.0;
-        total += w[i];
-      }
-      NUBB_REQUIRE_MSG(total > 0.0,
-                       "top_capacity_only threshold excludes every bin (no probability mass)");
-      break;
-    }
-    case Kind::kCustom:
-      NUBB_REQUIRE_MSG(custom_.size() == capacities.size(),
-                       "custom weights size does not match the number of bins");
-      w = custom_;
-      break;
-  }
-  return w;
+  return visit_weights(capacities, [n = capacities.size()](auto weight_of) {
+    std::vector<double> w(n);
+    for (std::size_t i = 0; i < n; ++i) w[i] = weight_of(i);
+    return w;
+  });
 }
 
 std::string SelectionPolicy::describe() const {

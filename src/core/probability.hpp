@@ -5,9 +5,11 @@
 ///
 /// The paper's default is "proportional to capacity" (`p_i = c_i / C`);
 /// Section 4.5 and Theorem 5 study alternatives. A `SelectionPolicy` turns a
-/// capacity vector into sampling weights; the `BinSampler` then compiles the
-/// weights into an O(1) alias table.
+/// capacity vector into sampling weights; the `BinSampler` writes them one
+/// at a time straight into an O(1) alias table.
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,10 +42,39 @@ class SelectionPolicy {
   double exponent() const noexcept { return exponent_; }
   std::uint64_t threshold() const noexcept { return threshold_; }
 
-  /// Materialise sampling weights for the given capacities.
-  /// \pre for kCustom: weights registered at construction match the size.
+  /// The one definition of each policy's weights: returns
+  /// `use(weight_of)`, where `weight_of(i)` is bin i's sampling weight.
+  /// weights() collects them into a vector; BinSampler::from_policy writes
+  /// them straight into its alias table. `capacities` must outlive the call.
+  /// \pre capacities non-empty; for kCustom, the weights registered at
+  /// construction match the size.
   /// \throws PreconditionError if the policy assigns zero total weight
   ///         (e.g. top_capacity_only threshold above every capacity).
+  template <typename Use>
+  auto visit_weights(const std::vector<std::uint64_t>& capacities, Use&& use) const {
+    require_weights_for(capacities);
+    const std::uint64_t* const c = capacities.data();
+    switch (kind_) {
+      case Kind::kUniform:
+        return use([](std::size_t) { return 1.0; });
+      case Kind::kProportionalToCapacity:
+        return use([c](std::size_t i) { return static_cast<double>(c[i]); });
+      case Kind::kCapacityPower:
+        return use([c, t = exponent_](std::size_t i) {
+          return std::pow(static_cast<double>(c[i]), t);
+        });
+      case Kind::kTopCapacityOnly:
+        return use([c, t = threshold_](std::size_t i) {
+          return c[i] >= t ? static_cast<double>(c[i]) : 0.0;
+        });
+      case Kind::kCustom:
+        break;
+    }
+    return use([w = custom_.data()](std::size_t i) { return w[i]; });
+  }
+
+  /// Materialise sampling weights for the given capacities (visit_weights
+  /// collected into a vector). Same preconditions and throws.
   std::vector<double> weights(const std::vector<std::uint64_t>& capacities) const;
 
   /// Human-readable description for tables/CSV metadata.
@@ -51,6 +82,9 @@ class SelectionPolicy {
 
  private:
   SelectionPolicy() = default;
+
+  /// visit_weights' preconditions, checked before any weight is produced.
+  void require_weights_for(const std::vector<std::uint64_t>& capacities) const;
 
   Kind kind_ = Kind::kProportionalToCapacity;
   double exponent_ = 1.0;

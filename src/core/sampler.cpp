@@ -21,7 +21,10 @@ BinSampler BinSampler::from_policy(const SelectionPolicy& policy,
   if (policy.kind() == SelectionPolicy::Kind::kUniform) {
     return uniform(capacities.size());
   }
-  return from_weights(policy.weights(capacities), mem);
+  return policy.visit_weights(capacities, [&](auto weight_of) {
+    return BinSampler(capacities.size(),
+                      std::make_shared<const AliasTable>(capacities.size(), weight_of, mem));
+  });
 }
 
 double BinSampler::probability(std::size_t i) const {

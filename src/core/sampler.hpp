@@ -2,7 +2,8 @@
 
 /// \file sampler.hpp
 /// O(1) bin choice. Wraps either a uniform fast path (no table needed) or a
-/// Vose alias table built from a SelectionPolicy's weights.
+/// Vose alias table that a SelectionPolicy's weights are written straight
+/// into (no weight vector in between).
 
 #include <cstddef>
 #include <memory>
@@ -28,7 +29,11 @@ class BinSampler {
   static BinSampler from_weights(const std::vector<double>& weights,
                                  const MemoryConfig& mem = {});
 
-  /// From a policy applied to a capacity vector. `mem` as in from_weights.
+  /// From a policy applied to a capacity vector: each bin's weight
+  /// (SelectionPolicy::visit_weights) goes straight into the table's
+  /// threshold array, so the table is byte-identical to
+  /// `from_weights(policy.weights(capacities), mem)` without the n-entry
+  /// vector. `mem` as in from_weights.
   static BinSampler from_policy(const SelectionPolicy& policy,
                                 const std::vector<std::uint64_t>& capacities,
                                 const MemoryConfig& mem = {});

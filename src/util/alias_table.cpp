@@ -22,29 +22,33 @@ std::uint64_t threshold_of(double prob) {
 
 }  // namespace
 
-AliasTable::AliasTable(const std::vector<double>& weights, const MemoryConfig& mem) {
-  const std::size_t n = weights.size();
+AliasTable::AliasTable(const std::vector<double>& weights, const MemoryConfig& mem)
+    : AliasTable(weights.size(), [&weights](std::size_t i) { return weights[i]; }, mem) {}
+
+void AliasTable::allocate(std::size_t n, const MemoryConfig& mem) {
   NUBB_REQUIRE_MSG(n > 0, "alias table needs at least one outcome");
   NUBB_REQUIRE_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
                    "alias table limited to 2^32-1 outcomes");
+  threshold_ = AlignedBuffer<std::uint64_t>(n, mem);
+  alias_ = AlignedBuffer<std::uint32_t>(n, mem);
+}
 
-  double total = 0.0;
-  for (const double w : weights) {
-    NUBB_REQUIRE_MSG(w >= 0.0, "alias table weights must be non-negative");
-    NUBB_REQUIRE_MSG(std::isfinite(w), "alias table weights must be finite");
-    total += w;
-  }
+void AliasTable::check_weight(double w) {
+  NUBB_REQUIRE_MSG(w >= 0.0, "alias table weights must be non-negative");
+  NUBB_REQUIRE_MSG(std::isfinite(w), "alias table weights must be finite");
+}
+
+void AliasTable::build(double total, const MemoryConfig& mem) {
   NUBB_REQUIRE_MSG(std::isfinite(total), "alias table weight total must be finite");
   NUBB_REQUIRE_MSG(total > 0.0, "alias table needs positive total weight");
 
   // Vose's stable construction: scale probabilities by n, split outcomes
   // into "small" (< 1) and "large" (>= 1), and repeatedly pair one of each.
-  // Built in place: until slot i is final, threshold_[i] holds the bits of
-  // its scaled probability. The two stacks share one work array, small
-  // growing up from 0 and large down from n; an outcome sits on at most one
-  // stack, so they never meet.
-  threshold_ = AlignedBuffer<std::uint64_t>(n, mem);
-  alias_ = AlignedBuffer<std::uint32_t>(n, mem);
+  // Built in place: threshold_[i] holds the bits of weight i, then of its
+  // scaled probability until slot i is final. The two stacks share one work
+  // array, small growing up from 0 and large down from n; an outcome sits on
+  // at most one stack, so they never meet.
+  const std::size_t n = size();
   std::uint64_t* const slot = threshold_.data();
   const auto scaled = [slot](std::uint32_t i) { return std::bit_cast<double>(slot[i]); };
   AlignedBuffer<std::uint32_t> work(n, mem);
@@ -52,7 +56,7 @@ AliasTable::AliasTable(const std::vector<double>& weights, const MemoryConfig& m
   std::size_t large_top = n;  // large stack: work[large_top, n), top at large_top
   std::size_t support = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double p = weights[i] / total * static_cast<double>(n);
+    const double p = std::bit_cast<double>(slot[i]) / total * static_cast<double>(n);
     slot[i] = std::bit_cast<std::uint64_t>(p);
     support += p > 0.0;
     // Branch-free push (a mask selects the end): on shuffled weights

@@ -6,10 +6,14 @@
 /// Every selection-probability model in the core library (proportional,
 /// capacity^t, top-only, ...) compiles down to an AliasTable, because bin
 /// probabilities are static for the duration of a game and the inner loop
-/// draws d of them per ball.
+/// draws d of them per ball. A policy hands its weights to the table one at
+/// a time (`SelectionPolicy::visit_weights`), so no weight vector is built.
 
+#include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/memory.hpp"
@@ -22,15 +26,37 @@ namespace nubb {
 /// arrays sampling reads, 12 bytes per outcome.
 class AliasTable {
  public:
-  /// Build from non-negative weights (not necessarily normalised). The hot
-  /// slot arrays (`threshold_data`/`alias_data`, the ones the placement
-  /// kernel's draw loop probes at random) are placed on AlignedBuffer
-  /// storage honoring `mem` — cache-line aligned always, huge-page-advised
-  /// when the MemoryConfig asks for it, exactly like the bin slots they are
-  /// probed alongside. Placement only; sampling results never depend on it.
-  /// \pre weights non-empty; every weight finite and >= 0; sum of weights
-  /// finite and > 0.
+  /// Build from non-negative weights (not necessarily normalised): the
+  /// build below with `weight_of(i) = weights[i]`.
   explicit AliasTable(const std::vector<double>& weights, const MemoryConfig& mem = {});
+
+  /// Build from the n weights `weight_of(0), ..., weight_of(n - 1)`, each
+  /// called once, in index order. Each weight is written straight into its
+  /// threshold entry (later its scaled probability, then its threshold) and
+  /// the total is summed in the same pass; the only other build-time
+  /// storage is a 4 B/outcome work array. The hot slot arrays
+  /// (`threshold_data`/`alias_data`, the ones the placement kernel's draw
+  /// loop probes at random) are placed on AlignedBuffer storage honoring
+  /// `mem` — cache-line aligned always, huge-page-advised when the
+  /// MemoryConfig asks for it, exactly like the bin slots they are probed
+  /// alongside. Placement only; sampling results never depend on it.
+  /// \pre n >= 1; every weight finite and >= 0; sum of weights finite
+  /// and > 0.
+  template <std::invocable<std::size_t> WeightOf>
+  AliasTable(std::size_t n, WeightOf weight_of, const MemoryConfig& mem = {}) {
+    allocate(n, mem);
+    std::uint64_t* const slot = threshold_.data();
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = weight_of(i);
+      if (!(w >= 0.0 && w <= std::numeric_limits<double>::max())) [[unlikely]] {
+        check_weight(w);
+      }
+      slot[i] = std::bit_cast<std::uint64_t>(w);
+      total += w;
+    }
+    build(total, mem);
+  }
 
   /// Draw one outcome in O(1): one bounded slot draw, then one word whose
   /// top 53 bits are compared with the slot's threshold.
@@ -75,6 +101,12 @@ class AliasTable {
   bool huge_page_advised() const noexcept { return threshold_.huge_page_advised(); }
 
  private:
+  void allocate(std::size_t n, const MemoryConfig& mem);
+  /// Throws the precondition a weight outside [0, DBL_MAX] breaks.
+  static void check_weight(double w);
+  /// Vose's construction over the weights the threshold array holds.
+  void build(double total, const MemoryConfig& mem);
+
   AlignedBuffer<std::uint64_t> threshold_;  // ceil(acceptance prob * 2^53) per slot
   AlignedBuffer<std::uint32_t> alias_;      // fallback outcome per slot
   std::size_t support_ = 0;                 // outcomes with positive probability

@@ -204,6 +204,26 @@ TEST(MaxLoadDistributionTest, QuantilesAreOrdered) {
   EXPECT_LE(dist.q99, dist.summary.max);
 }
 
+TEST(GameFixtureTest, SamplerTableObeysTheGameMemoryConfig) {
+  // The fixture's alias arrays are placed by GameConfig::memory, like the
+  // engine's bin arrays. 400K bins put each array above one 2 MiB huge page,
+  // where the default config would advise huge pages.
+  const std::vector<std::uint64_t> caps = from_classes({{200000, 1}, {200000, 10}});
+  const SelectionPolicy policy = SelectionPolicy::proportional_to_capacity();
+  for (const HugePages hp : {HugePages::kOff, HugePages::kOn}) {
+    GameConfig game;
+    game.memory.huge_pages = hp;
+    const GameFixture fixture(caps, policy, game);
+    const BinSampler direct = BinSampler::from_policy(policy, caps, game.memory);
+    EXPECT_EQ(fixture.sampler().alias_table()->huge_page_advised(),
+              direct.alias_table()->huge_page_advised())
+        << to_string(hp);
+    if (hp == HugePages::kOff) {
+      EXPECT_FALSE(fixture.sampler().alias_table()->huge_page_advised());
+    }
+  }
+}
+
 TEST(RunnersTest, PoolInjectionProducesSameResults) {
   ThreadPool pool(2);
   ExperimentConfig with_pool = quick_exp(100, 5);

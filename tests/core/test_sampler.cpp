@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -74,6 +78,90 @@ TEST(BinSamplerTest, OverflowingPolicyWeightsAreRejected) {
   const std::vector<std::uint64_t> caps = {1, 1, 100000, 100000};
   EXPECT_THROW(BinSampler::from_policy(SelectionPolicy::capacity_power(400), caps),
                PreconditionError);
+}
+
+/// Half capacity-1 and half capacity-10 bins in shuffled order.
+std::vector<std::uint64_t> shuffled_mixed_1_10(std::size_t n) {
+  std::vector<std::uint64_t> caps(n, 1);
+  std::fill(caps.begin() + static_cast<std::ptrdiff_t>(n / 2), caps.end(), 10);
+  Xoshiro256StarStar rng(5);
+  for (std::size_t i = n - 1; i > 0; --i) {
+    std::swap(caps[i], caps[static_cast<std::size_t>(rng.bounded(i + 1))]);
+  }
+  return caps;
+}
+
+TEST(BinSamplerTest, PolicyFedTableEqualsTableBuiltFromPolicyWeights) {
+  // from_policy writes each weight straight into the table; the result must
+  // be byte for byte the table built from the materialised weight vector.
+  for (const std::vector<std::uint64_t>& caps :
+       {std::vector<std::uint64_t>{10}, shuffled_mixed_1_10(1000),
+        shuffled_mixed_1_10(1000000)}) {
+    std::vector<double> custom(caps.size());
+    Xoshiro256StarStar rng(17);
+    for (double& w : custom) w = rng.next_double() + 0.01;
+    for (const SelectionPolicy& policy :
+         {SelectionPolicy::proportional_to_capacity(), SelectionPolicy::capacity_power(0.0),
+          SelectionPolicy::capacity_power(2.0), SelectionPolicy::capacity_power(-1.0),
+          SelectionPolicy::top_capacity_only(10), SelectionPolicy::custom(custom)}) {
+      const std::string label = policy.describe() + " n=" + std::to_string(caps.size());
+      const BinSampler sampler = BinSampler::from_policy(policy, caps);
+      const AliasTable reference(policy.weights(caps));
+      const AliasTable* table = sampler.alias_table();
+      ASSERT_NE(table, nullptr) << label;
+      ASSERT_EQ(table->size(), reference.size()) << label;
+      EXPECT_EQ(table->support_size(), reference.support_size()) << label;
+      EXPECT_EQ(std::memcmp(table->threshold_data(), reference.threshold_data(),
+                            caps.size() * sizeof(std::uint64_t)),
+                0)
+          << label;
+      EXPECT_EQ(std::memcmp(table->alias_data(), reference.alias_data(),
+                            caps.size() * sizeof(std::uint32_t)),
+                0)
+          << label;
+    }
+  }
+  // Uniform keeps its table-free fast path.
+  EXPECT_EQ(BinSampler::from_policy(SelectionPolicy::uniform(), shuffled_mixed_1_10(1000))
+                .alias_table(),
+            nullptr);
+}
+
+/// The PreconditionError message `f` throws ("" and a test failure if it
+/// throws nothing).
+template <typename F>
+std::string precondition_message(F f) {
+  try {
+    f();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no PreconditionError";
+  return "";
+}
+
+TEST(BinSamplerTest, PolicyFedBuildKeepsEachRejection) {
+  // Through from_policy each bad policy fails with the exception and the
+  // message of the vector path: materialise the weights, then build.
+  const std::vector<std::uint64_t> overflow_caps = {1, 1, 100000, 100000};
+  const SelectionPolicy overflow = SelectionPolicy::capacity_power(400);
+  const std::string overflow_msg =
+      precondition_message([&] { BinSampler::from_policy(overflow, overflow_caps); });
+  EXPECT_EQ(overflow_msg,
+            precondition_message([&] { AliasTable table(overflow.weights(overflow_caps)); }));
+  EXPECT_NE(overflow_msg.find("alias table weights must be finite"), std::string::npos)
+      << overflow_msg;
+
+  const std::vector<std::uint64_t> caps = {1, 2, 4, 8};
+  const std::pair<SelectionPolicy, std::string> cases[] = {
+      {SelectionPolicy::top_capacity_only(100), "top_capacity_only threshold excludes every bin"},
+      {SelectionPolicy::custom({1.0, 2.0}),
+       "custom weights size does not match the number of bins"}};
+  for (const auto& [policy, reason] : cases) {
+    const std::string msg = precondition_message([&] { BinSampler::from_policy(policy, caps); });
+    EXPECT_EQ(msg, precondition_message([&] { (void)policy.weights(caps); }));
+    EXPECT_NE(msg.find(reason), std::string::npos) << msg;
+  }
 }
 
 TEST(BinSamplerTest, ProbabilityOutOfRangeThrows) {

@@ -15,16 +15,24 @@ namespace {
 
 // --- BinomialDistribution ----------------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter. `name_bytes`
+// fills the four bytes between `n` and `p`, which were padding before and
+// held whatever the stack did, so the case names changed whenever the code
+// linked into the test binary did; the values below pin the names the suite
+// has been reporting. They take no part in the test.
 struct BinomialCase {
   std::uint32_t n;
+  std::uint32_t name_bytes;
   double p;
 };
+static_assert(sizeof(BinomialCase) == 2 * sizeof(std::uint32_t) + sizeof(double),
+              "BinomialCase must have no padding, or its case names vary by build");
 
 class BinomialMomentsTest : public ::testing::TestWithParam<BinomialCase> {};
 
 TEST_P(BinomialMomentsTest, MeanAndVarianceMatchTheory) {
-  const auto [n, p] = GetParam();
-  const BinomialDistribution dist(n, p);
+  const BinomialCase& c = GetParam();
+  const BinomialDistribution dist(c.n, c.p);
   Xoshiro256StarStar rng(2024);
   RunningStats stats;
   constexpr int kDraws = 100000;
@@ -39,11 +47,13 @@ TEST_P(BinomialMomentsTest, MeanAndVarianceMatchTheory) {
 
 INSTANTIATE_TEST_SUITE_P(
     Regimes, BinomialMomentsTest,
-    ::testing::Values(BinomialCase{7, 0.0}, BinomialCase{7, 1.0}, BinomialCase{7, 0.5},
-                      BinomialCase{7, 1.0 / 7.0},  // the Section 4.2 capacity model
-                      BinomialCase{7, 6.0 / 7.0}, BinomialCase{1, 0.3}, BinomialCase{64, 0.25},
-                      BinomialCase{65, 0.25},  // first size on the inversion path
-                      BinomialCase{500, 0.02}, BinomialCase{1000, 0.7}));
+    ::testing::Values(BinomialCase{7, 0, 0.0}, BinomialCase{7, 0x746E656D, 1.0},
+                      BinomialCase{7, 0, 0.5},
+                      BinomialCase{7, 0x002C3B03, 1.0 / 7.0},  // the Section 4.2 capacity model
+                      BinomialCase{7, 0xEFD00000, 6.0 / 7.0}, BinomialCase{1, 0, 0.3},
+                      BinomialCase{64, 0, 0.25},
+                      BinomialCase{65, 0x00091E03, 0.25},  // first size on the inversion path
+                      BinomialCase{500, 0xCAD00000, 0.02}, BinomialCase{1000, 0, 0.7}));
 
 TEST(BinomialTest, SupportIsRespected) {
   const BinomialDistribution dist(7, 0.4);

@@ -18,8 +18,8 @@ Usage:
   bench_compare.py FRESH BASELINE --update    # rewrite BASELINE from FRESH
 
 Refreshing the baseline after intentional kernel work:
-  ./build/bench/microbench --reps 5 --quiet --out BENCH_microbench.json
-  python3 tools/bench_compare.py BENCH_microbench.json bench/baseline.json --update
+  ./build/bench/microbench --reps 5 --quiet --out build/BENCH_microbench.json
+  python3 tools/bench_compare.py build/BENCH_microbench.json bench/baseline.json --update
 """
 
 import argparse

@@ -4,7 +4,8 @@
 #   cmake -DNUBB_RUN=<path> -DWORK_DIR=<dir> -P smoke_test.cmake
 #
 # Checks: exit codes, table output shape, JSON output shape, that a bad
-# flag fails with a non-zero exit code, that a sharded run merged via
+# flag or a malformed --caps item fails with a non-zero exit code (the
+# latter naming the item), that a sharded run merged via
 # `merge` reproduces the unsharded JSON results bit-for-bit under both
 # streams, and that a run without --stream is a stream-v2 run.
 
@@ -315,6 +316,27 @@ execute_process(
 if(rc EQUAL 0)
   message(FATAL_ERROR "nubb_run --caps bogus should fail but exited 0")
 endif()
+
+# Each half of a --caps item is an unsigned decimal integer and nothing else:
+# a fraction, trailing junk or a sign is refused and the error names the item.
+foreach(bad_case "2x1.5,2x3=2x1.5" "2x1,2x10junk=2x10junk" "-3x1=-3x1")
+  string(REPLACE "=" ";" bad_case "${bad_case}")
+  list(GET bad_case 0 bad_caps)
+  list(GET bad_case 1 bad_item)
+  execute_process(
+    COMMAND "${NUBB_RUN}" --caps "${bad_caps}" --reps 2
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "nubb_run --caps ${bad_caps} should fail but exited 0:\n${out}")
+  endif()
+  string(FIND "${err}" "bad --caps item" at_msg)
+  string(FIND "${err}" "${bad_item}" at_item)
+  if(at_msg EQUAL -1 OR at_item EQUAL -1)
+    message(FATAL_ERROR "nubb_run --caps ${bad_caps} should name '${bad_item}':\n${err}")
+  endif()
+endforeach()
 
 # --- subcommand surface: run | check-state (merge and list ran above) -------
 execute_process(

@@ -7,10 +7,13 @@
 /// use the same vocabulary and cannot drift (`--caps 500x1,500x10` means
 /// the same bins everywhere).
 
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -20,19 +23,29 @@
 
 namespace nubb::tool {
 
+/// Whole-token unsigned decimal: no sign, space, fraction or trailing junk
+/// (the rule CliParser applies to numeric options).
+template <typename Unsigned>
+bool parse_decimal(std::string_view digits, Unsigned& value) {
+  const char* const last = digits.data() + digits.size();
+  const auto [end, ec] = std::from_chars(digits.data(), last, value);
+  return ec == std::errc() && end == last;
+}
+
 /// Parse "500x1,500x10" into a capacity vector (classes stay contiguous).
 inline std::vector<std::uint64_t> parse_caps(const std::string& spec) {
   std::vector<CapacityClass> classes;
   std::stringstream ss(spec);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    const auto x = item.find('x');
-    if (x == std::string::npos) {
-      throw std::runtime_error("bad --caps item (expected COUNTxCAPACITY): " + item);
-    }
+    const std::string_view view(item);
+    const auto x = view.find('x');
     CapacityClass cls;
-    cls.count = std::stoull(item.substr(0, x));
-    cls.capacity = std::stoull(item.substr(x + 1));
+    if (x == std::string_view::npos || !parse_decimal(view.substr(0, x), cls.count) ||
+        !parse_decimal(view.substr(x + 1), cls.capacity)) {
+      throw std::runtime_error(
+          "bad --caps item (expected COUNTxCAPACITY, unsigned integers): " + item);
+    }
     classes.push_back(cls);
   }
   return from_classes(classes);
