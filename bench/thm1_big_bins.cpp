@@ -73,7 +73,10 @@ int main(int argc, char** argv) {
       all_max.add(bins.max_load().value());
     }
 
-    const bool within = bounds::theorem1_applies(static_cast<double>(all_max.count()),
+    // Every game throws m = C balls (GameConfig's default).
+    std::uint64_t balls = 0;
+    for (const std::uint64_t c : caps) balls += c;
+    const bool within = bounds::theorem1_applies(static_cast<double>(balls),
                                                  static_cast<double>(n),
                                                  static_cast<double>(small), 1.0);
     table.add_row({TextTable::num(static_cast<std::uint64_t>(small)),

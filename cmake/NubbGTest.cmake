@@ -25,11 +25,15 @@ include(GoogleTest)
 # Builds one test executable against the nubb library and registers every
 # TEST case with CTest via gtest_discover_tests. LABEL (conventionally the
 # suite directory name) enables `ctest -L util` style slicing.
+# NO_PRETTY_VALUES names a value-parameterized case by gtest's own suffix
+# (its name generator's, else its index), never by the parameter's bytes,
+# which may hold heap pointers or padding and differ between builds.
 function(nubb_add_test name)
   cmake_parse_arguments(ARG "" "LABEL" "" ${ARGN})
   add_executable(${name} ${ARG_UNPARSED_ARGUMENTS})
   target_link_libraries(${name} PRIVATE nubb nubb_options GTest::gtest GTest::gtest_main)
   gtest_discover_tests(${name}
+    NO_PRETTY_VALUES
     DISCOVERY_TIMEOUT 120
     PROPERTIES TIMEOUT 600 LABELS "${ARG_LABEL}")
 endfunction()

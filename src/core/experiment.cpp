@@ -88,7 +88,17 @@ KeyFrequencyCollector KeyFrequencyCollector::from_json(const JsonValue& v) {
   for (const JsonValue& pair : v.at("counts").as_array()) {
     const auto& kv = pair.as_array();
     if (kv.size() != 2) throw JsonError("KeyFrequencyCollector counts entry is not a pair");
-    c.counts_[kv[0].as_uint64()] = kv[1].as_uint64();
+    const std::uint64_t key = kv[0].as_uint64();
+    const std::uint64_t count = kv[1].as_uint64();
+    // A key wins at most once per trial, so a larger count is corrupt state.
+    if (count > c.trials_) {
+      throw JsonError("KeyFrequencyCollector: count " + std::to_string(count) + " of key " +
+                      std::to_string(key) + " exceeds " + std::to_string(c.trials_) +
+                      " trials");
+    }
+    if (!c.counts_.emplace(key, count).second) {
+      throw JsonError("KeyFrequencyCollector: duplicate key " + std::to_string(key));
+    }
   }
   return c;
 }
@@ -113,6 +123,12 @@ SampleCollector SampleCollector::from_json(const JsonValue& v) {
   SampleCollector c;
   c.stats = RunningStats::from_json(v.at("stats"));
   for (const JsonValue& x : v.at("values").as_array()) c.values.push_back(x.as_double());
+  // The quantiles read the sample and the mean reads the stats: they must
+  // describe the same replications.
+  if (c.values.size() != c.stats.count()) {
+    throw JsonError("SampleCollector: " + std::to_string(c.values.size()) +
+                    " values for a count of " + std::to_string(c.stats.count()));
+  }
   return c;
 }
 
@@ -122,280 +138,122 @@ GameResult GameFixture::run_one(Xoshiro256StarStar& rng, BinArray& bins) const {
   return play_batched_game(bins, sampler_, game_, game_.batch, rng);
 }
 
-// ---------------------------------------------------------------------------
-// Runner descriptors: each runner is a per-replication `body` (operator())
-// plus a `finalize` over the merged collector. The three public forms are
-// generated by runner_shard / runner_merge / runner_run below — no runner
-// carries its own collection, shard, or merge logic.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-template <typename Desc>
-ExperimentShard<typename Desc::Collector> runner_shard(
-    Desc desc, const std::vector<std::uint64_t>& capacities, const ExperimentConfig& exp) {
-  const MemoryConfig mem = desc.fixture.game().memory;
-  return replicate_shard<typename Desc::Collector>(capacities, exp, std::move(desc), mem);
-}
-
-template <typename Desc>
-auto runner_merge(const std::vector<ExperimentShard<typename Desc::Collector>>& shards) {
-  return Desc::finalize(merge_shards(shards));
-}
-
-template <typename Desc>
-auto runner_run(Desc desc, const std::vector<std::uint64_t>& capacities,
-                const ExperimentConfig& exp) {
-  const MemoryConfig mem = desc.fixture.game().memory;
-  return Desc::finalize(
-      replicate<typename Desc::Collector>(capacities, exp, std::move(desc), mem));
-}
-
-struct MaxLoadSummaryDesc {
-  using Collector = ScalarCollector;
-  GameFixture fixture;
-
-  void operator()(std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
-                  Collector& local) const {
-    local.add(fixture.run_one(rng, w.bins).max_load_value());
-  }
-  static Summary finalize(const Collector& c) { return Summary::from(c.stats); }
-};
-
-struct MeanSortedProfileDesc {
-  using Collector = VectorMeanCollector;
-  GameFixture fixture;
-
-  void operator()(std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
-                  Collector& local) const {
-    fixture.run_one(rng, w.bins);
-    sorted_load_profile(w.bins, w.scratch);
-    local.add(w.scratch);
-  }
-  static std::vector<double> finalize(const Collector& c) { return c.mean(); }
-};
-
-struct MeanClassProfilesDesc {
-  using Collector = ClassProfilesCollector;
-  GameFixture fixture;
-
-  void operator()(std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
-                  Collector& local) const {
-    fixture.run_one(rng, w.bins);
-    for (const std::uint64_t cap : distinct_capacities(w.bins)) {
-      sorted_class_profile(w.bins, cap, w.scratch);
-      local.per_key[cap].add(w.scratch);
-    }
-  }
-  static std::map<std::uint64_t, std::vector<double>> finalize(const Collector& c) {
-    std::map<std::uint64_t, std::vector<double>> out;
-    for (const auto& [cap, collector] : c.per_key) out[cap] = collector.mean();
-    return out;
-  }
-};
-
-struct ClassOfMaxFractionsDesc {
-  using Collector = KeyFrequencyCollector;
-  GameFixture fixture;
-
-  void operator()(std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
-                  Collector& local) const {
-    fixture.run_one(rng, w.bins);
-    local.add_trial();
-    for (const std::uint64_t cap : capacities_attaining_max(w.bins)) local.add(cap);
-  }
-  static std::map<std::uint64_t, double> finalize(const Collector& c) {
-    std::map<std::uint64_t, double> out;
-    for (const auto& [cap, count] : c.counts()) {
-      out[cap] = static_cast<double>(count) / static_cast<double>(c.trials());
-    }
-    return out;
-  }
-};
-
-struct MeanGapTraceDesc {
-  using Collector = VectorMeanCollector;
-  GameFixture fixture;
-  std::uint64_t total_balls;
-  std::uint64_t checkpoint_interval;
-
-  void operator()(std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
-                  Collector& local) const {
-    w.bins.clear();
-    GameConfig cfg = fixture.game();
-    cfg.balls = total_balls;
-    std::vector<double>& trace = w.scratch;
-    trace.clear();
-    trace.reserve((total_balls + checkpoint_interval - 1) / checkpoint_interval);
-    play_game(w.bins, fixture.sampler(), cfg, rng, checkpoint_interval,
-              [&trace](const GameCheckpoint& cp, const BinArray&) {
-                trace.push_back(cp.max_load.value() - cp.average_load);
-              });
-    local.add(trace);
-  }
-  static std::vector<double> finalize(const Collector& c) { return c.mean(); }
-};
-
-MeanGapTraceDesc make_gap_trace_desc(const std::vector<std::uint64_t>& capacities,
-                                     const SelectionPolicy& policy, const GameConfig& game,
-                                     std::uint64_t total_balls,
-                                     std::uint64_t checkpoint_interval) {
-  NUBB_REQUIRE_MSG(checkpoint_interval > 0, "gap trace needs a positive checkpoint interval");
-  NUBB_REQUIRE_MSG(total_balls > 0, "gap trace needs at least one ball");
-  NUBB_REQUIRE_MSG(game.batch <= 1, "gap trace requires the sequential process (batch <= 1)");
-  return MeanGapTraceDesc{GameFixture(capacities, policy, game), total_balls,
-                          checkpoint_interval};
-}
-
-struct MaxLoadDistributionDesc {
-  using Collector = SampleCollector;
-  GameFixture fixture;
-
-  void operator()(std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
-                  Collector& local) const {
-    local.add(fixture.run_one(rng, w.bins).max_load_value());
-  }
-  static MaxLoadDistribution finalize(const Collector& c) {
-    MaxLoadDistribution out;
-    out.summary = Summary::from(c.stats);
-    if (!c.values.empty()) {
-      const std::vector<double> qs = quantiles(c.values, {0.50, 0.95, 0.99});
-      out.q50 = qs[0];
-      out.q95 = qs[1];
-      out.q99 = qs[2];
-    }
-    return out;
-  }
-};
-
-}  // namespace
-
-// --- max_load_summary -------------------------------------------------------
-
-ExperimentShard<ScalarCollector> max_load_summary_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp) {
-  return runner_shard(MaxLoadSummaryDesc{GameFixture(capacities, policy, game)}, capacities,
-                      exp);
-}
-
-Summary max_load_summary_merge(const std::vector<ExperimentShard<ScalarCollector>>& shards) {
-  return runner_merge<MaxLoadSummaryDesc>(shards);
-}
-
 Summary max_load_summary(const std::vector<std::uint64_t>& capacities,
                          const SelectionPolicy& policy, const GameConfig& game,
                          const ExperimentConfig& exp) {
-  return runner_run(MaxLoadSummaryDesc{GameFixture(capacities, policy, game)}, capacities, exp);
-}
-
-// --- mean_sorted_profile ----------------------------------------------------
-
-ExperimentShard<VectorMeanCollector> mean_sorted_profile_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp) {
-  return runner_shard(MeanSortedProfileDesc{GameFixture(capacities, policy, game)}, capacities,
-                      exp);
-}
-
-std::vector<double> mean_sorted_profile_merge(
-    const std::vector<ExperimentShard<VectorMeanCollector>>& shards) {
-  return runner_merge<MeanSortedProfileDesc>(shards);
+  const GameFixture fixture(capacities, policy, game);
+  return Summary::from(
+      replicate<ScalarCollector>(
+          capacities, exp,
+          [&fixture](std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
+                     ScalarCollector& local) {
+            local.add(fixture.run_one(rng, w.bins).max_load_value());
+          },
+          game.memory)
+          .stats);
 }
 
 std::vector<double> mean_sorted_profile(const std::vector<std::uint64_t>& capacities,
                                         const SelectionPolicy& policy, const GameConfig& game,
                                         const ExperimentConfig& exp) {
-  return runner_run(MeanSortedProfileDesc{GameFixture(capacities, policy, game)}, capacities,
-                    exp);
-}
-
-// --- mean_class_profiles ----------------------------------------------------
-
-ExperimentShard<ClassProfilesCollector> mean_class_profiles_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp) {
-  return runner_shard(MeanClassProfilesDesc{GameFixture(capacities, policy, game)}, capacities,
-                      exp);
-}
-
-std::map<std::uint64_t, std::vector<double>> mean_class_profiles_merge(
-    const std::vector<ExperimentShard<ClassProfilesCollector>>& shards) {
-  return runner_merge<MeanClassProfilesDesc>(shards);
+  const GameFixture fixture(capacities, policy, game);
+  return replicate<VectorMeanCollector>(
+             capacities, exp,
+             [&fixture](std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
+                        VectorMeanCollector& local) {
+               fixture.run_one(rng, w.bins);
+               sorted_load_profile(w.bins, w.scratch);
+               local.add(w.scratch);
+             },
+             game.memory)
+      .mean();
 }
 
 std::map<std::uint64_t, std::vector<double>> mean_class_profiles(
     const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
     const GameConfig& game, const ExperimentConfig& exp) {
-  return runner_run(MeanClassProfilesDesc{GameFixture(capacities, policy, game)}, capacities,
-                    exp);
-}
-
-// --- class_of_max_fractions -------------------------------------------------
-
-ExperimentShard<KeyFrequencyCollector> class_of_max_fractions_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp) {
-  return runner_shard(ClassOfMaxFractionsDesc{GameFixture(capacities, policy, game)},
-                      capacities, exp);
-}
-
-std::map<std::uint64_t, double> class_of_max_fractions_merge(
-    const std::vector<ExperimentShard<KeyFrequencyCollector>>& shards) {
-  return runner_merge<ClassOfMaxFractionsDesc>(shards);
+  const GameFixture fixture(capacities, policy, game);
+  const ClassProfilesCollector merged = replicate<ClassProfilesCollector>(
+      capacities, exp,
+      [&fixture](std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
+                 ClassProfilesCollector& local) {
+        fixture.run_one(rng, w.bins);
+        for (const std::uint64_t cap : distinct_capacities(w.bins)) {
+          sorted_class_profile(w.bins, cap, w.scratch);
+          local.per_key[cap].add(w.scratch);
+        }
+      },
+      game.memory);
+  std::map<std::uint64_t, std::vector<double>> out;
+  for (const auto& [cap, collector] : merged.per_key) out[cap] = collector.mean();
+  return out;
 }
 
 std::map<std::uint64_t, double> class_of_max_fractions(
     const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
     const GameConfig& game, const ExperimentConfig& exp) {
-  return runner_run(ClassOfMaxFractionsDesc{GameFixture(capacities, policy, game)}, capacities,
-                    exp);
+  const GameFixture fixture(capacities, policy, game);
+  const KeyFrequencyCollector merged = replicate<KeyFrequencyCollector>(
+      capacities, exp,
+      [&fixture](std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
+                 KeyFrequencyCollector& local) {
+        fixture.run_one(rng, w.bins);
+        local.add_trial();
+        for (const std::uint64_t cap : capacities_attaining_max(w.bins)) local.add(cap);
+      },
+      game.memory);
+  std::map<std::uint64_t, double> out;
+  for (const auto& [cap, count] : merged.counts()) {
+    out[cap] = static_cast<double>(count) / static_cast<double>(merged.trials());
+  }
+  return out;
 }
 
-// --- mean_gap_trace ---------------------------------------------------------
+namespace {
 
-ExperimentShard<VectorMeanCollector> mean_gap_trace_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, std::uint64_t total_balls, std::uint64_t checkpoint_interval,
-    const ExperimentConfig& exp) {
-  return runner_shard(
-      make_gap_trace_desc(capacities, policy, game, total_balls, checkpoint_interval),
-      capacities, exp);
+/// The gap trace's preconditions, checked before the fixture is built.
+GameFixture gap_trace_fixture(const std::vector<std::uint64_t>& capacities,
+                              const SelectionPolicy& policy, const GameConfig& game,
+                              std::uint64_t total_balls, std::uint64_t checkpoint_interval) {
+  NUBB_REQUIRE_MSG(checkpoint_interval > 0, "gap trace needs a positive checkpoint interval");
+  NUBB_REQUIRE_MSG(total_balls > 0, "gap trace needs at least one ball");
+  NUBB_REQUIRE_MSG(game.batch <= 1, "gap trace requires the sequential process (batch <= 1)");
+  return GameFixture(capacities, policy, game);
 }
 
-std::vector<double> mean_gap_trace_merge(
-    const std::vector<ExperimentShard<VectorMeanCollector>>& shards) {
-  return runner_merge<MeanGapTraceDesc>(shards);
+}  // namespace
+
+GapTraceBody::GapTraceBody(const std::vector<std::uint64_t>& capacities,
+                           const SelectionPolicy& policy, const GameConfig& game,
+                           std::uint64_t total_balls, std::uint64_t checkpoint_interval)
+    : fixture_(gap_trace_fixture(capacities, policy, game, total_balls, checkpoint_interval)),
+      total_balls_(total_balls),
+      checkpoint_interval_(checkpoint_interval) {}
+
+void GapTraceBody::operator()(std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
+                              VectorMeanCollector& local) const {
+  w.bins.clear();
+  GameConfig cfg = fixture_.game();
+  cfg.balls = total_balls_;
+  std::vector<double>& trace = w.scratch;
+  trace.clear();
+  trace.reserve((total_balls_ + checkpoint_interval_ - 1) / checkpoint_interval_);
+  play_game(w.bins, fixture_.sampler(), cfg, rng, checkpoint_interval_,
+            [&trace](const GameCheckpoint& cp, const BinArray&) {
+              trace.push_back(cp.max_load.value() - cp.average_load);
+            });
+  local.add(trace);
 }
 
 std::vector<double> mean_gap_trace(const std::vector<std::uint64_t>& capacities,
                                    const SelectionPolicy& policy, const GameConfig& game,
                                    std::uint64_t total_balls, std::uint64_t checkpoint_interval,
                                    const ExperimentConfig& exp) {
-  return runner_run(
-      make_gap_trace_desc(capacities, policy, game, total_balls, checkpoint_interval),
-      capacities, exp);
-}
-
-// --- max_load_distribution --------------------------------------------------
-
-ExperimentShard<SampleCollector> max_load_distribution_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp) {
-  return runner_shard(MaxLoadDistributionDesc{GameFixture(capacities, policy, game)},
-                      capacities, exp);
-}
-
-MaxLoadDistribution max_load_distribution_merge(
-    const std::vector<ExperimentShard<SampleCollector>>& shards) {
-  return runner_merge<MaxLoadDistributionDesc>(shards);
-}
-
-MaxLoadDistribution max_load_distribution(const std::vector<std::uint64_t>& capacities,
-                                          const SelectionPolicy& policy, const GameConfig& game,
-                                          const ExperimentConfig& exp) {
-  return runner_run(MaxLoadDistributionDesc{GameFixture(capacities, policy, game)}, capacities,
-                    exp);
+  return replicate<VectorMeanCollector>(
+             capacities, exp,
+             GapTraceBody(capacities, policy, game, total_balls, checkpoint_interval),
+             game.memory)
+      .mean();
 }
 
 }  // namespace nubb

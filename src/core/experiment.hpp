@@ -13,28 +13,24 @@
 ///     compose any collector per key / into tuples, so one replication pass
 ///     can feed several measurements at once.
 ///   * **The engine** — `replicate_shard` runs one per-replication `body`
-///     over this shard's slice of the replication chunk layout and packages
+///     over one shard's slice of the replication chunk layout and packages
 ///     the per-chunk collector states; `merge_shards` folds a complete
 ///     shard set in global chunk order, replaying the exact floating-point
 ///     merge sequence of a single-process run. `replicate` is literally
 ///     shard 0-of-1 plus the merge, so the sharded path cannot drift from
 ///     the golden values: a merged N-shard run is bit-identical to the
 ///     single-process run.
-///   * **Runners** — the measurement shapes the paper's evaluation uses,
-///     each a thin descriptor over the engine (see experiment.cpp): a
-///     per-replication body plus a finalizer, from which the plain /
-///     `*_shard` / `*_merge` triple is generated.
+///   * **Runners** — the in-process measurement shapes the paper's
+///     evaluation uses, each one `replicate` call with its own body:
+///       * scalar statistics of the final maximum load   (Figs 6, 8, 14, 15, 17, 18)
+///       * mean sorted load profile                      (Figs 1-5, 10, 11)
+///       * mean per-capacity-class sorted profiles       (Figs 12, 13)
+///       * which capacity class attains the maximum      (Figs 7, 9)
+///       * trace of (max - average) at checkpoints       (Fig 16)
 ///
-/// Runner coverage:
-///   * scalar statistics of the final maximum load        (Figs 6, 8, 14, 15, 17, 18)
-///   * mean sorted load profile                           (Figs 1-5, 10, 11)
-///   * mean per-capacity-class sorted profiles            (Figs 12, 13)
-///   * which capacity class attains the maximum           (Figs 7, 9)
-///   * trace of (max - average) at checkpoints            (Fig 16)
-///
-/// Higher-level, string-keyed experiment dispatch (the `nubb_run
-/// --experiment` registry) lives in core/scenario.hpp on top of this
-/// engine.
+/// Runs sharded across processes go through the string-keyed scenario
+/// registry of core/scenario.hpp (`nubb_run --experiment`, `--shard`,
+/// `merge`), the one sharded-experiment API on top of this engine.
 
 #include <cstdint>
 #include <map>
@@ -69,15 +65,6 @@ struct ExperimentConfig {
   /// counts (the floating-point merge grouping changes), so overrides are
   /// opt-in per experiment.
   std::uint64_t chunks = 0;
-
-  /// Shard coordinates for multi-process runs: the `*_shard` runners
-  /// execute only the replication chunks that shard `shard_index` of
-  /// `shard_count` owns (a contiguous slice of the chunk layout above,
-  /// which itself never depends on the shard split). The default 0-of-1
-  /// owns everything. The plain runners require the default: a sharded
-  /// config silently producing a partial "full" result would be a trap.
-  std::uint64_t shard_index = 0;
-  std::uint64_t shard_count = 1;
 };
 
 // ---------------------------------------------------------------------------
@@ -177,7 +164,7 @@ struct KeyedCollector {
 using ClassProfilesCollector = KeyedCollector<VectorMeanCollector>;
 
 /// Running statistics plus the raw sample, for quantile-style
-/// post-processing (max_load_distribution).
+/// post-processing (the max-load scenario's median / q95 / q99).
 struct SampleCollector {
   RunningStats stats;
   std::vector<double> values;
@@ -376,30 +363,22 @@ struct ReplicationScratch {
       : bins(capacities, mem) {}
 };
 
-/// The plain (full-result) entry points refuse sharded configs: a shard
-/// config flowing into a full runner would silently yield a partial result.
-inline void require_unsharded(const ExperimentConfig& exp) {
-  NUBB_REQUIRE_MSG(exp.shard_index == 0 && exp.shard_count == 1,
-                   "sharded ExperimentConfig passed to a full runner; use the *_shard / "
-                   "*_merge API");
-}
-
-/// One engine pass: execute this shard's slice of the replication chunk
-/// layout and package the per-chunk collector states.
+/// One engine pass: execute shard `shard_index` of `shard_count` of the
+/// replication chunk layout (a contiguous slice that never depends on the
+/// shard split) and package the per-chunk collector states.
 /// `body(rep, rng, scratch, collector)` performs one replication; shard
 /// 0-of-1 runs everything. Every runner and scenario is a `body` plus a
 /// finalizer over the merged collector — nothing else re-implements
 /// collection or merging.
 template <typename Collector, typename Body>
 ExperimentShard<Collector> replicate_shard(const std::vector<std::uint64_t>& capacities,
-                                           const ExperimentConfig& exp, Body body,
-                                           const MemoryConfig& mem = {}) {
-  NUBB_REQUIRE_MSG(exp.shard_count >= 1, "ExperimentConfig::shard_count must be >= 1");
-  NUBB_REQUIRE_MSG(exp.shard_index < exp.shard_count,
-                   "ExperimentConfig::shard_index out of range");
+                                           const ExperimentConfig& exp,
+                                           std::uint64_t shard_index, std::uint64_t shard_count,
+                                           Body body, const MemoryConfig& mem = {}) {
+  NUBB_REQUIRE_MSG(shard_count >= 1, "replicate_shard: shard_count must be >= 1");
+  NUBB_REQUIRE_MSG(shard_index < shard_count, "replicate_shard: shard_index out of range");
   const ChunkLayout layout = make_chunk_layout(exp.replications, exp.chunks);
-  const auto [first, last] =
-      shard_chunk_range(layout.chunk_count, exp.shard_index, exp.shard_count);
+  const auto [first, last] = shard_chunk_range(layout.chunk_count, shard_index, shard_count);
 
   ExperimentShard<Collector> shard;
   shard.replications = exp.replications;
@@ -407,8 +386,8 @@ ExperimentShard<Collector> replicate_shard(const std::vector<std::uint64_t>& cap
   shard.chunk_count = layout.chunk_count;
   shard.chunks = replication_chunk_states<Collector>(
       layout, exp.base_seed,
-      [&capacities, &mem] { return ReplicationScratch(capacities, mem); }, body, first, last,
-      exp.pool);
+      [&capacities, &mem] { return ReplicationScratch(capacities, mem); }, std::move(body),
+      first, last, exp.pool);
   return shard;
 }
 
@@ -417,47 +396,30 @@ ExperimentShard<Collector> replicate_shard(const std::vector<std::uint64_t>& cap
 template <typename Collector, typename Body>
 Collector replicate(const std::vector<std::uint64_t>& capacities, const ExperimentConfig& exp,
                     Body body, const MemoryConfig& mem = {}) {
-  require_unsharded(exp);
-  return merge_shards<Collector>({replicate_shard<Collector>(capacities, exp, body, mem)});
+  return merge_shards<Collector>(
+      {replicate_shard<Collector>(capacities, exp, 0, 1, std::move(body), mem)});
 }
 
 // ---------------------------------------------------------------------------
-// High-level runners. Each plain runner requires an unsharded config
-// (shard 0 of 1) and equals `*_merge({*_shard(...)})`; the `*_shard` form
-// runs only this shard's chunks (honouring ExperimentConfig::shard_index /
-// shard_count) and the `*_merge` form finalizes any complete shard set.
-// All honour GameConfig::batch except mean_gap_trace (checkpoints require
-// the sequential process).
+// Runners: full in-process results, each one `replicate` call. All honour
+// GameConfig::batch except mean_gap_trace (checkpoints require the
+// sequential process).
 // ---------------------------------------------------------------------------
 
 /// Statistics of the final maximum load over replications.
 Summary max_load_summary(const std::vector<std::uint64_t>& capacities,
                          const SelectionPolicy& policy, const GameConfig& game,
                          const ExperimentConfig& exp);
-ExperimentShard<ScalarCollector> max_load_summary_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp);
-Summary max_load_summary_merge(const std::vector<ExperimentShard<ScalarCollector>>& shards);
 
 /// Mean sorted (descending) load profile over replications.
 std::vector<double> mean_sorted_profile(const std::vector<std::uint64_t>& capacities,
                                         const SelectionPolicy& policy, const GameConfig& game,
                                         const ExperimentConfig& exp);
-ExperimentShard<VectorMeanCollector> mean_sorted_profile_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp);
-std::vector<double> mean_sorted_profile_merge(
-    const std::vector<ExperimentShard<VectorMeanCollector>>& shards);
 
 /// Mean sorted profile per capacity class (key = capacity value).
 std::map<std::uint64_t, std::vector<double>> mean_class_profiles(
     const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
     const GameConfig& game, const ExperimentConfig& exp);
-ExperimentShard<ClassProfilesCollector> mean_class_profiles_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp);
-std::map<std::uint64_t, std::vector<double>> mean_class_profiles_merge(
-    const std::vector<ExperimentShard<ClassProfilesCollector>>& shards);
 
 /// For each capacity class, the fraction of replications in which a bin of
 /// that class attains the exact maximum load (ties count for every class
@@ -465,43 +427,32 @@ std::map<std::uint64_t, std::vector<double>> mean_class_profiles_merge(
 std::map<std::uint64_t, double> class_of_max_fractions(
     const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
     const GameConfig& game, const ExperimentConfig& exp);
-ExperimentShard<KeyFrequencyCollector> class_of_max_fractions_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp);
-std::map<std::uint64_t, double> class_of_max_fractions_merge(
-    const std::vector<ExperimentShard<KeyFrequencyCollector>>& shards);
 
-/// Throw `total_balls` balls, recording (max load - average load) after every
-/// `checkpoint_interval` balls; returns the mean trace over replications.
-/// The trace length is ceil(total_balls / checkpoint_interval).
-/// \pre GameConfig::batch <= 1 (the batched process has no checkpoints).
+/// Per-replication body of the gap trace (Figure 16), shared by
+/// mean_gap_trace and the gap-trace scenario: throw `total_balls` balls and
+/// record (max load - average load) after every `checkpoint_interval` of
+/// them, a trace of ceil(total_balls / checkpoint_interval) entries.
+class GapTraceBody {
+ public:
+  /// \pre checkpoint_interval > 0, total_balls > 0 and game.batch <= 1
+  /// (the batched process has no checkpoints).
+  GapTraceBody(const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
+               const GameConfig& game, std::uint64_t total_balls,
+               std::uint64_t checkpoint_interval);
+
+  void operator()(std::uint64_t rep, Xoshiro256StarStar& rng, ReplicationScratch& w,
+                  VectorMeanCollector& local) const;
+
+ private:
+  GameFixture fixture_;
+  std::uint64_t total_balls_;
+  std::uint64_t checkpoint_interval_;
+};
+
+/// Mean gap trace over replications (see GapTraceBody).
 std::vector<double> mean_gap_trace(const std::vector<std::uint64_t>& capacities,
                                    const SelectionPolicy& policy, const GameConfig& game,
                                    std::uint64_t total_balls, std::uint64_t checkpoint_interval,
                                    const ExperimentConfig& exp);
-ExperimentShard<VectorMeanCollector> mean_gap_trace_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, std::uint64_t total_balls, std::uint64_t checkpoint_interval,
-    const ExperimentConfig& exp);
-std::vector<double> mean_gap_trace_merge(
-    const std::vector<ExperimentShard<VectorMeanCollector>>& shards);
-
-/// Statistics of the final max load *and* the full distribution of the
-/// max-load value (as RunningStats plus min/max); convenience for benches
-/// that want error bars.
-struct MaxLoadDistribution {
-  Summary summary;
-  double q50 = 0.0;
-  double q95 = 0.0;
-  double q99 = 0.0;
-};
-MaxLoadDistribution max_load_distribution(const std::vector<std::uint64_t>& capacities,
-                                          const SelectionPolicy& policy, const GameConfig& game,
-                                          const ExperimentConfig& exp);
-ExperimentShard<SampleCollector> max_load_distribution_shard(
-    const std::vector<std::uint64_t>& capacities, const SelectionPolicy& policy,
-    const GameConfig& game, const ExperimentConfig& exp);
-MaxLoadDistribution max_load_distribution_merge(
-    const std::vector<ExperimentShard<SampleCollector>>& shards);
 
 }  // namespace nubb

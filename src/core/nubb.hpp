@@ -65,11 +65,12 @@
 // --- experiments ------------------------------------------------------------
 
 // ExperimentConfig / max_load_summary / replication engine — Monte-Carlo
-// replication with deterministic per-chunk seeding (shardable).
+// replication with deterministic per-chunk seeding, in process.
 #include "core/experiment.hpp"
 
 // Scenario / ScenarioRegistry / RunMeta — named experiments behind
-// nubb_run: registration, shard-state serialisation, merge & report.
+// nubb_run and the one API for runs sharded across processes:
+// registration, shard-state serialisation, merge & report.
 #include "core/scenario.hpp"
 
 // Metrics / load-vector folds over finished games.

@@ -56,9 +56,9 @@ std::vector<IncrementalGrowthStep> simulate_incremental_growth(
   // Start with the initial batch, filled to m = C.
   std::vector<std::uint64_t> caps = growth_capacities(first_batch, first_batch, batch_size,
                                                       model);
-  BinArray bins(caps);
+  BinArray bins(caps, cfg.memory);
   {
-    const BinSampler sampler = BinSampler::from_policy(policy, bins.capacities());
+    const BinSampler sampler = BinSampler::from_policy(policy, bins.capacities(), cfg.memory);
     GameConfig fill = cfg;
     fill.balls = bins.total_capacity();
     play_game(bins, sampler, fill, rng);
@@ -73,7 +73,7 @@ std::vector<IncrementalGrowthStep> simulate_incremental_growth(
                                                   bins.size()),
                                              grown.end());
       bins.append_bins(added);
-      const BinSampler sampler = BinSampler::from_policy(policy, bins.capacities());
+      const BinSampler sampler = BinSampler::from_policy(policy, bins.capacities(), cfg.memory);
       GameConfig fill = cfg;
       fill.balls = bins.total_capacity() - bins.total_balls();
       if (fill.balls > 0) play_game(bins, sampler, fill, rng);
@@ -85,7 +85,7 @@ std::vector<IncrementalGrowthStep> simulate_incremental_growth(
     step.incremental_max_load = bins.max_load().value();
 
     if (rebalance_target_gap >= 0.0) {
-      const BinSampler sampler = BinSampler::from_policy(policy, bins.capacities());
+      const BinSampler sampler = BinSampler::from_policy(policy, bins.capacities(), cfg.memory);
       const double target = bins.average_load() + rebalance_target_gap;
       const RebalanceResult r =
           rebalance(bins, sampler, cfg, target, max_moves_per_step, rng);

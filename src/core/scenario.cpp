@@ -121,62 +121,6 @@ std::vector<const Scenario*> ScenarioRegistry::list() const {
 }
 
 // ---------------------------------------------------------------------------
-// Typed scenario cores
-// ---------------------------------------------------------------------------
-
-ExperimentShard<KeyedCollector<ScalarCollector>> class_max_load_shard(
-    const ScenarioSpec& spec) {
-  const GameFixture fixture(spec.capacities, spec.policy, spec.game);
-  return replicate_shard<KeyedCollector<ScalarCollector>>(
-      spec.capacities, spec.exp,
-      [&fixture](std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
-                 KeyedCollector<ScalarCollector>& local) {
-        fixture.run_one(rng, w.bins);
-        // The distinct capacity count is tiny (a handful of classes), so a
-        // flat map per replication stays cheap.
-        std::map<std::uint64_t, double> class_max;
-        for (std::size_t i = 0; i < w.bins.size(); ++i) {
-          const double v = w.bins.load_value(i);
-          auto [it, fresh] = class_max.try_emplace(w.bins.capacity(i), v);
-          if (!fresh && v > it->second) it->second = v;
-        }
-        for (const auto& [cap, value] : class_max) local.per_key[cap].add(value);
-      },
-      spec.game.memory);
-}
-
-std::map<std::uint64_t, Summary> class_max_load_merge(
-    const std::vector<ExperimentShard<KeyedCollector<ScalarCollector>>>& shards) {
-  const KeyedCollector<ScalarCollector> merged = merge_shards(shards);
-  std::map<std::uint64_t, Summary> out;
-  for (const auto& [cap, collector] : merged.per_key) out[cap] = Summary::from(collector.stats);
-  return out;
-}
-
-ExperimentShard<ScalarCollector> hit_every_bin_shard(const ScenarioSpec& spec) {
-  const GameFixture fixture(spec.capacities, spec.policy, spec.game);
-  return replicate_shard<ScalarCollector>(
-      spec.capacities, spec.exp,
-      [&fixture](std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
-                 ScalarCollector& local) {
-        fixture.run_one(rng, w.bins);
-        bool covered = true;
-        for (std::size_t i = 0; i < w.bins.size(); ++i) {
-          if (w.bins.balls(i) == 0) {
-            covered = false;
-            break;
-          }
-        }
-        local.add(covered ? 1.0 : 0.0);
-      },
-      spec.game.memory);
-}
-
-Summary hit_every_bin_merge(const std::vector<ExperimentShard<ScalarCollector>>& shards) {
-  return Summary::from(merge_shards(shards).stats);
-}
-
-// ---------------------------------------------------------------------------
 // Built-in scenarios
 // ---------------------------------------------------------------------------
 
@@ -212,7 +156,10 @@ class TypedScenario : public Scenario {
   }
 
   void run_and_report(const ScenarioSpec& spec, const ReportContext& ctx) const final {
-    require_unsharded(spec.exp);
+    // A sharded spec here would silently report a partial run as the whole.
+    NUBB_REQUIRE_MSG(spec.shard_index == 0 && spec.shard_count == 1,
+                     "run_and_report needs an unsharded ScenarioSpec; use run_shard and "
+                     "merge_and_report");
     report(merge_shards<Collector>({typed_shard(spec)}), ctx);
   }
 
@@ -234,7 +181,7 @@ ExperimentShard<MaxLoadCollectors> max_load_scenario_shard(const ScenarioSpec& s
   const bool profile = spec.profile;
   const bool classes = spec.classes;
   return replicate_shard<MaxLoadCollectors>(
-      spec.capacities, spec.exp,
+      spec.capacities, spec.exp, spec.shard_index, spec.shard_count,
       [&fixture, profile, classes](std::uint64_t, Xoshiro256StarStar& rng,
                                    ReplicationScratch& w, MaxLoadCollectors& local) {
         const GameResult result = fixture.run_one(rng, w.bins);
@@ -253,21 +200,21 @@ ExperimentShard<MaxLoadCollectors> max_load_scenario_shard(const ScenarioSpec& s
       spec.game.memory);
 }
 
-void print_max_load_report(const RunMeta& meta, const MaxLoadDistribution& dist,
-                           std::ostream& out) {
+void print_max_load_report(const RunMeta& meta, const Summary& summary,
+                           const std::vector<double>& qs, std::ostream& out) {
   TextTable table("nubb_run: n=" + std::to_string(meta.n) +
                   ", C=" + std::to_string(meta.total_capacity) +
                   ", m=" + std::to_string(meta.balls) + ", d=" + std::to_string(meta.choices) +
                   ", policy=" + meta.policy + ", reps=" + std::to_string(meta.replications));
   table.set_header({"metric", "value"});
-  table.add_row({"mean max load", TextTable::num(dist.summary.mean)});
-  table.add_row({"std error", TextTable::num(dist.summary.std_error, 6)});
-  table.add_row({"95% CI half-width", TextTable::num(dist.summary.ci_half_width_95(), 6)});
+  table.add_row({"mean max load", TextTable::num(summary.mean)});
+  table.add_row({"std error", TextTable::num(summary.std_error, 6)});
+  table.add_row({"95% CI half-width", TextTable::num(summary.ci_half_width_95(), 6)});
   table.add_row({"median / q95 / q99",
-                 TextTable::num(dist.q50) + " / " + TextTable::num(dist.q95) + " / " +
-                     TextTable::num(dist.q99)});
+                 TextTable::num(qs[0]) + " / " + TextTable::num(qs[1]) + " / " +
+                     TextTable::num(qs[2])});
   table.add_row({"min / max observed",
-                 TextTable::num(dist.summary.min) + " / " + TextTable::num(dist.summary.max)});
+                 TextTable::num(summary.min) + " / " + TextTable::num(summary.max)});
   table.add_row({"average load m/C",
                  TextTable::num(static_cast<double>(meta.balls) /
                                 static_cast<double>(meta.total_capacity))});
@@ -317,17 +264,13 @@ class MaxLoadScenario final : public TypedScenario<MaxLoadCollectors> {
 
   void report(const MaxLoadCollectors& merged, const ReportContext& ctx) const override {
     const SampleCollector& sample = merged.part<0>();
+    const Summary summary = Summary::from(sample.stats);
+    // Median / q95 / q99; zeros for an empty run.
+    const std::vector<double> qs = sample.values.empty()
+                                       ? std::vector<double>(3, 0.0)
+                                       : quantiles(sample.values, {0.50, 0.95, 0.99});
 
-    MaxLoadDistribution dist;
-    dist.summary = Summary::from(sample.stats);
-    if (!sample.values.empty()) {
-      const std::vector<double> qs = quantiles(sample.values, {0.50, 0.95, 0.99});
-      dist.q50 = qs[0];
-      dist.q95 = qs[1];
-      dist.q99 = qs[2];
-    }
-
-    print_max_load_report(ctx.meta, dist, ctx.out);
+    print_max_load_report(ctx.meta, summary, qs, ctx.out);
     if (ctx.meta.profile) print_profile(merged.part<1>().mean(), ctx.out);
     std::map<std::uint64_t, double> fractions;
     if (ctx.meta.classes) {
@@ -342,13 +285,13 @@ class MaxLoadScenario final : public TypedScenario<MaxLoadCollectors> {
       JsonWriter& j = *ctx.json;
       j.key("max_load");
       j.begin_object();
-      j.kv("mean", dist.summary.mean);
-      j.kv("std_error", dist.summary.std_error);
-      j.kv("median", dist.q50);
-      j.kv("q95", dist.q95);
-      j.kv("q99", dist.q99);
-      j.kv("min", dist.summary.min);
-      j.kv("max", dist.summary.max);
+      j.kv("mean", summary.mean);
+      j.kv("std_error", summary.std_error);
+      j.kv("median", qs[0]);
+      j.kv("q95", qs[1]);
+      j.kv("q99", qs[2]);
+      j.kv("min", summary.min);
+      j.kv("max", summary.max);
       j.end_object();
       if (ctx.meta.profile) {
         j.key("profile");
@@ -388,13 +331,15 @@ class GapTraceScenario final : public TypedScenario<VectorMeanCollector> {
  protected:
   ExperimentShard<VectorMeanCollector> typed_shard(const ScenarioSpec& spec) const override {
     // GameConfig's "0 means m = C" convention, resolved to the explicit
-    // count the checkpointed runner requires.
+    // count the checkpointed trace requires.
     std::uint64_t total = spec.game.balls;
     if (total == 0) {
       for (const std::uint64_t c : spec.capacities) total += c;
     }
-    return mean_gap_trace_shard(spec.capacities, spec.policy, spec.game, total,
-                                spec.checkpoint_interval, spec.exp);
+    return replicate_shard<VectorMeanCollector>(
+        spec.capacities, spec.exp, spec.shard_index, spec.shard_count,
+        GapTraceBody(spec.capacities, spec.policy, spec.game, total, spec.checkpoint_interval),
+        spec.game.memory);
   }
 
   void report(const VectorMeanCollector& merged, const ReportContext& ctx) const override {
@@ -436,7 +381,23 @@ class ClassMaxLoadScenario final : public TypedScenario<KeyedCollector<ScalarCol
  protected:
   ExperimentShard<KeyedCollector<ScalarCollector>> typed_shard(
       const ScenarioSpec& spec) const override {
-    return class_max_load_shard(spec);
+    const GameFixture fixture(spec.capacities, spec.policy, spec.game);
+    return replicate_shard<KeyedCollector<ScalarCollector>>(
+        spec.capacities, spec.exp, spec.shard_index, spec.shard_count,
+        [&fixture](std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
+                   KeyedCollector<ScalarCollector>& local) {
+          fixture.run_one(rng, w.bins);
+          // The distinct capacity count is tiny (a handful of classes), so
+          // a flat map per replication stays cheap.
+          std::map<std::uint64_t, double> class_max;
+          for (std::size_t i = 0; i < w.bins.size(); ++i) {
+            const double v = w.bins.load_value(i);
+            auto [it, fresh] = class_max.try_emplace(w.bins.capacity(i), v);
+            if (!fresh && v > it->second) it->second = v;
+          }
+          for (const auto& [cap, value] : class_max) local.per_key[cap].add(value);
+        },
+        spec.game.memory);
   }
 
   void report(const KeyedCollector<ScalarCollector>& merged,
@@ -484,7 +445,22 @@ class HitEveryBinScenario final : public TypedScenario<ScalarCollector> {
 
  protected:
   ExperimentShard<ScalarCollector> typed_shard(const ScenarioSpec& spec) const override {
-    return hit_every_bin_shard(spec);
+    const GameFixture fixture(spec.capacities, spec.policy, spec.game);
+    return replicate_shard<ScalarCollector>(
+        spec.capacities, spec.exp, spec.shard_index, spec.shard_count,
+        [&fixture](std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
+                   ScalarCollector& local) {
+          fixture.run_one(rng, w.bins);
+          bool covered = true;
+          for (std::size_t i = 0; i < w.bins.size(); ++i) {
+            if (w.bins.balls(i) == 0) {
+              covered = false;
+              break;
+            }
+          }
+          local.add(covered ? 1.0 : 0.0);
+        },
+        spec.game.memory);
   }
 
   void report(const ScalarCollector& merged, const ReportContext& ctx) const override {

@@ -2,7 +2,8 @@
 
 /// \file scenario.hpp
 /// Named experiment scenarios: a string-keyed registry of declarative
-/// measurement recipes over the replication engine of experiment.hpp.
+/// measurement recipes over the replication engine of experiment.hpp, and
+/// the library's one API for experiments sharded across processes.
 ///
 /// A `Scenario` packages one experiment family end-to-end — a
 /// per-replication collector body, the shard-state (de)serialization, and
@@ -10,8 +11,8 @@
 /// dispatch by name (`--experiment`, `list`) instead of hard-wiring one
 /// code path per measurement. Because every scenario runs through
 /// `replicate_shard` / `merge_shards`, all of them shard across processes
-/// and merge bit-identically for free, including batched arrivals
-/// (`GameConfig::batch > 1`).
+/// (`ScenarioSpec::shard_index` / `shard_count`) and merge bit-identically
+/// for free, including batched arrivals (`GameConfig::batch > 1`).
 ///
 /// Adding a scenario is ~30 lines: a body feeding a collector (compose
 /// `KeyedCollector` / `MultiCollector` as needed), a report, and a
@@ -37,10 +38,16 @@ struct ScenarioSpec {
   GameConfig game;        ///< balls = 0 means m = C (the GameConfig convention;
                           ///< scenarios needing an explicit count resolve it),
                           ///< batch included
-  ExperimentConfig exp;   ///< replications / seed / chunks / shard coords
+  ExperimentConfig exp;   ///< replications / seed / chunks / pool
   bool profile = false;   ///< max-load: also collect the mean sorted profile
   bool classes = false;   ///< max-load: also collect class-of-max fractions
   std::uint64_t checkpoint_interval = 0;  ///< gap-trace (resolved, >= 1)
+  /// Shard coordinates for run_shard: shard `shard_index` of `shard_count`
+  /// runs a contiguous slice of the replication chunk layout, which itself
+  /// never depends on the split. The default 0-of-1 owns everything, and
+  /// run_and_report requires it.
+  std::uint64_t shard_index = 0;
+  std::uint64_t shard_count = 1;
 };
 
 /// Config metadata describing one experiment, independent of whether the
@@ -126,7 +133,7 @@ class Scenario {
   const std::string& description() const noexcept { return description_; }
 
   /// Execute the shard of the replication chunks that
-  /// `spec.exp.shard_index / shard_count` owns and write the collector
+  /// `spec.shard_index / shard_count` owns and write the collector
   /// state `merge_and_report` consumes (the "state" value of a
   /// `nubb.shard.v2` file). Shard 0-of-1 is a full run.
   virtual void run_shard(const ScenarioSpec& spec, JsonWriter& w) const = 0;
@@ -179,25 +186,5 @@ class ScenarioRegistry {
  private:
   std::map<std::string, std::unique_ptr<Scenario>> by_name_;
 };
-
-// ---------------------------------------------------------------------------
-// Typed cores of the registry-only scenarios (the ones without a runner in
-// experiment.hpp), exposed so tests can assert shard/merge bit-identity at
-// the collector level.
-// ---------------------------------------------------------------------------
-
-/// Per-capacity-class max-load distribution: for every capacity class, the
-/// statistics of that class's own maximum load (the paper's Figures 12/13
-/// summarise the full class profiles; this is the head of each profile,
-/// cheap enough to run at scale).
-ExperimentShard<KeyedCollector<ScalarCollector>> class_max_load_shard(const ScenarioSpec& spec);
-std::map<std::uint64_t, Summary> class_max_load_merge(
-    const std::vector<ExperimentShard<KeyedCollector<ScalarCollector>>>& shards);
-
-/// Hit-every-bin probability: fraction of replications in which every bin
-/// received at least one ball (coupon-collector-style coverage; near zero
-/// at m = C unless the array is tiny, a useful dial for capacity planning).
-ExperimentShard<ScalarCollector> hit_every_bin_shard(const ScenarioSpec& spec);
-Summary hit_every_bin_merge(const std::vector<ExperimentShard<ScalarCollector>>& shards);
 
 }  // namespace nubb

@@ -98,7 +98,7 @@ void deallocate_aligned(void* p, std::size_t bytes, HugePages hp) noexcept;
 /// contract of the replication engine: physical pages are faulted by the
 /// owner's initialising writes, on the thread that will run the game, so
 /// per-chunk bin state lands on the NUMA node of the worker that scans it
-/// (see util/parallel.hpp).
+/// (see replication_chunk_states in util/parallel.hpp).
 template <typename T>
 class AlignedBuffer {
   static_assert(std::is_trivially_copyable_v<T>,

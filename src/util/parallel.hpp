@@ -1,16 +1,17 @@
 #pragma once
 
 /// \file parallel.hpp
-/// Deterministic parallel map-reduce over Monte-Carlo replications.
+/// Deterministic parallel execution of Monte-Carlo replications: the chunk
+/// layout and `replication_chunk_states`, the one function that runs the
+/// chunks, under the replication engine of core/experiment.hpp.
 ///
 /// The contract that makes experiments reproducible:
 ///   * replication k always receives `seed_for_replication(base_seed, k)`;
 ///   * replications are partitioned into a fixed number of contiguous chunks
-///     (`kReplicationChunks`, independent of the thread count), and the
-///     chunk-local accumulators are merged into the output in chunk order —
-///     so the result is bit-identical for any ThreadPool size, including 1;
-///   * the per-replication results are folded into an accumulator type `Acc`
-///     that is a commutative monoid (`merge`).
+///     (`kReplicationChunks`, independent of the thread count), and each
+///     chunk folds its replications into its own accumulator, which callers
+///     merge in chunk order — so the result is bit-identical for any
+///     ThreadPool size, including 1.
 ///
 /// The same contract extends across processes: the chunk layout
 /// (`ChunkLayout`) is a pure function of (replications, chunk_count), so a
@@ -84,10 +85,10 @@ inline std::pair<std::uint64_t, std::uint64_t> shard_chunk_range(std::uint64_t c
 
 /// Run the replication chunks [chunk_first, chunk_last) of `layout` in
 /// parallel and return each chunk's accumulator, keyed by global chunk
-/// index, in chunk order. This is the primitive under both the in-process
-/// driver (which folds the states immediately) and the multi-process shard
-/// runners (which serialize them): chunk states never depend on which
-/// process or thread computed them.
+/// index, in chunk order. This is the primitive under both in-process runs
+/// (which fold the states immediately) and shard runs (which serialize
+/// them): chunk states never depend on which process or thread computed
+/// them.
 ///
 /// `make_context()` is invoked once per chunk (on the worker) to build
 /// scratch state — bin arrays, reusable buffers — that
@@ -102,7 +103,8 @@ inline std::pair<std::uint64_t, std::uint64_t> shard_chunk_range(std::uint64_t c
 /// Per-chunk BinArray slot state therefore stays node-local for the chunk's
 /// whole lifetime without any explicit NUMA API — contexts never migrate.
 ///
-/// `Acc` requirements: default-constructible, `void merge(const Acc&)`.
+/// `Acc` requirements: default-constructible; callers fold the returned
+/// states with `void merge(const Acc&)` in chunk order.
 template <typename Acc, typename MakeContext, typename Body>
 std::vector<std::pair<std::uint64_t, Acc>> replication_chunk_states(
     const ChunkLayout& layout, std::uint64_t base_seed, MakeContext make_context, Body body,
@@ -132,77 +134,6 @@ std::vector<std::pair<std::uint64_t, Acc>> replication_chunk_states(
     states.emplace_back(c, partials[c - chunk_first].get());
   }
   return states;
-}
-
-/// Run `replications` independent trials with per-chunk worker state (see
-/// `replication_chunk_states` for the context/body contract). The
-/// chunk-local accumulators are merged into `out` in replication order (so
-/// even non-commutative accumulators behave deterministically).
-///
-/// `chunk_count` overrides the fixed chunk layout (0 keeps the
-/// kReplicationChunks default). Results are deterministic for any fixed
-/// value — independent of the thread count — but two different chunk counts
-/// group the floating-point merges differently, so only the default is
-/// pinned by golden values. Pass more chunks than workers to keep pools
-/// beyond 16 threads busy.
-template <typename Acc, typename MakeContext, typename Body>
-void parallel_replications_with_context(std::uint64_t replications, std::uint64_t base_seed,
-                                        MakeContext make_context, Body body, Acc& out,
-                                        ThreadPool* pool = nullptr,
-                                        std::uint64_t chunk_count = kReplicationChunks) {
-  if (replications == 0) return;
-  const ChunkLayout layout = make_chunk_layout(replications, chunk_count);
-  auto states = replication_chunk_states<Acc>(layout, base_seed, make_context, body, 0,
-                                              layout.chunk_count, pool);
-  for (auto& state : states) out.merge(state.second);
-}
-
-/// Context-free variant: `body(rep_index, rng, acc)`.
-template <typename Acc, typename Body>
-void parallel_replications(std::uint64_t replications, std::uint64_t base_seed, Body body,
-                           Acc& out, ThreadPool* pool = nullptr,
-                           std::uint64_t chunk_count = kReplicationChunks) {
-  struct NoContext {};
-  parallel_replications_with_context(
-      replications, base_seed, [] { return NoContext{}; },
-      [&body](std::uint64_t rep, Xoshiro256StarStar& rng, NoContext&, Acc& local) {
-        body(rep, rng, local);
-      },
-      out, pool, chunk_count);
-}
-
-/// Parallel for over [0, count): `body(i)` with static chunking.
-template <typename Body>
-void parallel_for(std::uint64_t count, Body body, ThreadPool* pool = nullptr) {
-  if (count == 0) return;
-  ThreadPool& tp = pool ? *pool : global_thread_pool();
-  const std::uint64_t workers = tp.thread_count();
-  const std::uint64_t chunks = std::min<std::uint64_t>(workers * 4, count);
-  const std::uint64_t per_chunk = (count + chunks - 1) / chunks;
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::uint64_t c = 0; c < chunks; ++c) {
-    const std::uint64_t begin = c * per_chunk;
-    const std::uint64_t end = std::min(begin + per_chunk, count);
-    if (begin >= end) break;
-    futures.push_back(tp.submit([begin, end, &body]() {
-      for (std::uint64_t i = begin; i < end; ++i) body(i);
-    }));
-  }
-  for (auto& f : futures) f.get();
-}
-
-/// First-touch a shared buffer from the pool's workers: zero-fill
-/// `data[0..count)` in the same static stripes `parallel_for` would hand
-/// out, so under the kernel's first-touch policy each stripe's pages land on
-/// the NUMA node of the worker that will process that stripe. For *shared*
-/// arrays consumed by a later parallel_for over the same pool; per-chunk
-/// replication state needs nothing of the sort (its make_context already
-/// runs on the owning worker — see replication_chunk_states).
-template <typename T>
-void parallel_first_touch(T* data, std::uint64_t count, ThreadPool* pool = nullptr) {
-  parallel_for(count, [data](std::uint64_t i) { data[i] = T{}; }, pool);
 }
 
 }  // namespace nubb

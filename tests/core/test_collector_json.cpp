@@ -80,6 +80,22 @@ TEST(CollectorJsonTest, KeyFrequencyRejectsMalformedStates) {
                JsonError);  // object, not an array of pairs
 }
 
+TEST(CollectorJsonTest, KeyFrequencyRejectsInconsistentStates) {
+  // Well-formed JSON that no run can produce: a key listed twice (one
+  // count would be silently dropped) or winning more often than there
+  // were trials (a fraction above 1).
+  EXPECT_THROW(
+      KeyFrequencyCollector::from_json(parse(R"({"trials":4,"counts":[[1,2],[1,3]]})")),
+      JsonError);
+  EXPECT_THROW(KeyFrequencyCollector::from_json(parse(R"({"trials":2,"counts":[[1,5]]})")),
+               JsonError);
+  // The boundary still loads: a key that won every trial.
+  const KeyFrequencyCollector all =
+      KeyFrequencyCollector::from_json(parse(R"({"trials":2,"counts":[[1,2],[4,1]]})"));
+  EXPECT_EQ(all.fraction(1), 1.0);
+  EXPECT_EQ(all.fraction(4), 0.5);
+}
+
 // --- KeyedCollector ----------------------------------------------------------
 
 TEST(CollectorJsonTest, KeyedCollectorRejectsMalformedStates) {
@@ -122,6 +138,19 @@ TEST(CollectorJsonTest, SampleCollectorRejectsMalformedStates) {
                    parse(R"({"stats":{"count":1,"mean":1,"m2":0,"min":1,"max":1},)"
                          R"("values":[true]})")),
                JsonError);  // non-numeric sample
+}
+
+TEST(CollectorJsonTest, SampleCollectorRejectsValuesCountMismatch) {
+  // The mean reads the stats and the quantiles read the values: a state
+  // whose two halves describe different samples must not load.
+  const std::string stats = R"("stats":{"count":2,"mean":1.5,"m2":0.5,"min":1,"max":2})";
+  EXPECT_THROW(SampleCollector::from_json(parse("{" + stats + R"(,"values":[1.0]})")),
+               JsonError);
+  EXPECT_THROW(SampleCollector::from_json(parse("{" + stats + R"(,"values":[1.0,2.0,3.0]})")),
+               JsonError);
+  const SampleCollector ok =
+      SampleCollector::from_json(parse("{" + stats + R"(,"values":[1.0,2.0]})"));
+  EXPECT_EQ(ok.values.size(), 2u);
 }
 
 // --- MultiCollector ----------------------------------------------------------

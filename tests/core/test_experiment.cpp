@@ -7,10 +7,13 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "core/builder.hpp"
+#include "core/scenario.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 
 namespace nubb {
@@ -195,13 +198,24 @@ TEST(MeanGapTraceTest, RejectsBadArguments) {
 }
 
 TEST(MaxLoadDistributionTest, QuantilesAreOrdered) {
-  const auto caps = uniform_capacities(64, 1);
-  const auto dist = max_load_distribution(caps, SelectionPolicy::proportional_to_capacity(),
-                                          GameConfig{}, quick_exp(200));
-  EXPECT_LE(dist.summary.min, dist.q50);
-  EXPECT_LE(dist.q50, dist.q95);
-  EXPECT_LE(dist.q95, dist.q99);
-  EXPECT_LE(dist.q99, dist.summary.max);
+  // The max-load scenario reports the distribution's quantiles.
+  ScenarioSpec spec;
+  spec.capacities = uniform_capacities(64, 1);
+  spec.exp = quick_exp(200);
+  RunMeta meta;
+  meta.n = meta.total_capacity = meta.balls = 64;
+  std::ostringstream text;
+  std::ostringstream json;
+  JsonWriter w(json);
+  w.begin_object();
+  ScenarioRegistry::global().require("max-load").run_and_report(
+      spec, ReportContext{meta, text, &w});
+  w.end_object();
+  const JsonValue dist = JsonValue::parse(json.str()).at("max_load");
+  EXPECT_LE(dist.at("min").as_double(), dist.at("median").as_double());
+  EXPECT_LE(dist.at("median").as_double(), dist.at("q95").as_double());
+  EXPECT_LE(dist.at("q95").as_double(), dist.at("q99").as_double());
+  EXPECT_LE(dist.at("q99").as_double(), dist.at("max").as_double());
 }
 
 TEST(GameFixtureTest, SamplerTableObeysTheGameMemoryConfig) {
@@ -302,31 +316,23 @@ TEST(ChunksOverrideTest, OverrideCreatesThatManyParallelUnits) {
   // actually split the replications into `chunks` independently scheduled
   // units (one worker context each).
   std::atomic<int> contexts{0};
-  struct NullAcc {
-    void merge(const NullAcc&) {}
+  struct NullAcc {};
+  const auto count_contexts = [&contexts] {
+    ++contexts;
+    return 0;
   };
-  NullAcc acc;
+  const auto noop = [](std::uint64_t, Xoshiro256StarStar&, int&, NullAcc&) {};
   ThreadPool pool(4);
-  parallel_replications_with_context(
-      /*replications=*/64, /*base_seed=*/1,
-      [&contexts] {
-        ++contexts;
-        return 0;
-      },
-      [](std::uint64_t, Xoshiro256StarStar&, int&, NullAcc&) {}, acc, &pool,
-      /*chunk_count=*/32);
+  const ChunkLayout wide = make_chunk_layout(/*replications=*/64, /*chunk_count=*/32);
+  replication_chunk_states<NullAcc>(wide, /*base_seed=*/1, count_contexts, noop, 0,
+                                    wide.chunk_count, &pool);
   EXPECT_EQ(contexts.load(), 32);
 
   // More chunks than replications clamps to one replication per chunk.
   contexts = 0;
-  parallel_replications_with_context(
-      /*replications=*/10, /*base_seed=*/1,
-      [&contexts] {
-        ++contexts;
-        return 0;
-      },
-      [](std::uint64_t, Xoshiro256StarStar&, int&, NullAcc&) {}, acc, &pool,
-      /*chunk_count=*/1000);
+  const ChunkLayout clamped = make_chunk_layout(/*replications=*/10, /*chunk_count=*/1000);
+  replication_chunk_states<NullAcc>(clamped, /*base_seed=*/1, count_contexts, noop, 0,
+                                    clamped.chunk_count, &pool);
   EXPECT_EQ(contexts.load(), 10);
 }
 
@@ -336,13 +342,11 @@ TEST(ChunksOverrideTest, NonDefaultChunksEngageEveryWorker) {
   // (All four virtually always do; >= 2 keeps the assertion scheduler-proof.)
   std::mutex mu;
   std::set<std::thread::id> workers;
-  struct NullAcc {
-    void merge(const NullAcc&) {}
-  };
-  NullAcc acc;
+  struct NullAcc {};
   ThreadPool pool(4);
-  parallel_replications_with_context(
-      /*replications=*/8, /*base_seed=*/2,
+  const ChunkLayout layout = make_chunk_layout(/*replications=*/8, /*chunk_count=*/8);
+  replication_chunk_states<NullAcc>(
+      layout, /*base_seed=*/2,
       [&mu, &workers] {
         {
           std::lock_guard<std::mutex> lock(mu);
@@ -353,7 +357,7 @@ TEST(ChunksOverrideTest, NonDefaultChunksEngageEveryWorker) {
       [](std::uint64_t, Xoshiro256StarStar&, int&, NullAcc&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       },
-      acc, &pool, /*chunk_count=*/8);
+      0, layout.chunk_count, &pool);
   EXPECT_GE(workers.size(), 2u);
 }
 

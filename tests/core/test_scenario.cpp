@@ -1,7 +1,7 @@
 /// Scenario registry suite: registry lookup semantics, the shard-state
 /// pipeline every scenario shares (run_shard -> JSON -> check_state ->
 /// merge_and_report), and agreement between the registry scenarios and the
-/// typed runners they are built from.
+/// plain runners over the same engine.
 
 #include <gtest/gtest.h>
 
@@ -60,6 +60,14 @@ std::string report_text(const Scenario& scenario, const std::vector<JsonValue>& 
   std::ostringstream out;
   scenario.merge_and_report(states, ReportContext{meta, out, nullptr});
   return out.str();
+}
+
+/// The merged collector of scenario `name`'s unsharded run, read back from
+/// its state through the state-file format.
+template <typename Collector>
+Collector merged_state(const std::string& name, const ScenarioSpec& spec) {
+  const JsonValue state = shard_state(ScenarioRegistry::global().require(name), spec);
+  return merge_shards<Collector>({ExperimentShard<Collector>::from_json(state)});
 }
 
 // --- registry ----------------------------------------------------------------
@@ -271,7 +279,7 @@ TEST(ScenarioTest, ScenarioJsonBlocksAreWellFormed) {
   }
 }
 
-// --- max-load scenario vs the typed runners ---------------------------------
+// --- max-load scenario vs the plain runners ---------------------------------
 
 TEST(ScenarioTest, MaxLoadScenarioMatchesTypedRunners) {
   ScenarioSpec spec = small_spec();
@@ -290,14 +298,21 @@ TEST(ScenarioTest, MaxLoadScenarioMatchesTypedRunners) {
   const JsonValue doc = JsonValue::parse(json_text.str());
 
   // The fused single-pass scenario must agree bit-for-bit with the
-  // independent per-collector runners (same seeds, same games, same fold).
-  const MaxLoadDistribution dist =
-      max_load_distribution(spec.capacities, spec.policy, spec.game, spec.exp);
-  EXPECT_EQ(doc.at("max_load").at("mean").as_double(), dist.summary.mean);
-  EXPECT_EQ(doc.at("max_load").at("std_error").as_double(), dist.summary.std_error);
-  EXPECT_EQ(doc.at("max_load").at("median").as_double(), dist.q50);
-  EXPECT_EQ(doc.at("max_load").at("q95").as_double(), dist.q95);
-  EXPECT_EQ(doc.at("max_load").at("q99").as_double(), dist.q99);
+  // independent per-collector runs (same seeds, same games, same fold).
+  const Summary summary = max_load_summary(spec.capacities, spec.policy, spec.game, spec.exp);
+  EXPECT_EQ(doc.at("max_load").at("mean").as_double(), summary.mean);
+  EXPECT_EQ(doc.at("max_load").at("std_error").as_double(), summary.std_error);
+  const GameFixture fixture(spec.capacities, spec.policy, spec.game);
+  const SampleCollector sample = replicate<SampleCollector>(
+      spec.capacities, spec.exp,
+      [&fixture](std::uint64_t, Xoshiro256StarStar& rng, ReplicationScratch& w,
+                 SampleCollector& local) {
+        local.add(fixture.run_one(rng, w.bins).max_load_value());
+      });
+  const std::vector<double> qs = quantiles(sample.values, {0.50, 0.95, 0.99});
+  EXPECT_EQ(doc.at("max_load").at("median").as_double(), qs[0]);
+  EXPECT_EQ(doc.at("max_load").at("q95").as_double(), qs[1]);
+  EXPECT_EQ(doc.at("max_load").at("q99").as_double(), qs[2]);
 
   const std::vector<double> profile =
       mean_sorted_profile(spec.capacities, spec.policy, spec.game, spec.exp);
@@ -321,15 +336,16 @@ TEST(ScenarioTest, MaxLoadScenarioMatchesTypedRunners) {
 
 TEST(ScenarioTest, ClassMaxLoadBoundsTheGlobalMax) {
   const ScenarioSpec spec = small_spec();
-  const auto by_class = class_max_load_merge({class_max_load_shard(spec)});
+  const auto by_class =
+      merged_state<KeyedCollector<ScalarCollector>>("class-max-load", spec).per_key;
   const Summary global =
       max_load_summary(spec.capacities, spec.policy, spec.game, spec.exp);
   ASSERT_EQ(by_class.size(), 2u);
   double best_mean = 0.0;
-  for (const auto& [cap, s] : by_class) {
-    EXPECT_EQ(s.count, spec.exp.replications);
-    EXPECT_LE(s.max, global.max) << "class " << cap;
-    best_mean = std::max(best_mean, s.mean);
+  for (const auto& [cap, c] : by_class) {
+    EXPECT_EQ(c.stats.count(), spec.exp.replications);
+    EXPECT_LE(c.stats.max(), global.max) << "class " << cap;
+    best_mean = std::max(best_mean, c.stats.mean());
   }
   // The global maximum is the max over class maxima, so the hottest class
   // can at most match it in mean.
@@ -342,12 +358,12 @@ TEST(ScenarioTest, HitEveryBinProbabilityIsMonotoneInBalls) {
   std::uint64_t total = 0;
   for (const std::uint64_t c : dense.capacities) total += c;
   dense.game.balls = total * 8;
-  const Summary p_sparse = hit_every_bin_merge({hit_every_bin_shard(sparse)});
-  const Summary p_dense = hit_every_bin_merge({hit_every_bin_shard(dense)});
-  EXPECT_GE(p_sparse.mean, 0.0);
-  EXPECT_LE(p_sparse.mean, 1.0);
-  EXPECT_GE(p_dense.mean, p_sparse.mean);
-  EXPECT_GT(p_dense.mean, 0.9);  // 8x load: coverage is near-certain
+  const double p_sparse = merged_state<ScalarCollector>("hit-every-bin", sparse).stats.mean();
+  const double p_dense = merged_state<ScalarCollector>("hit-every-bin", dense).stats.mean();
+  EXPECT_GE(p_sparse, 0.0);
+  EXPECT_LE(p_sparse, 1.0);
+  EXPECT_GE(p_dense, p_sparse);
+  EXPECT_GT(p_dense, 0.9);  // 8x load: coverage is near-certain
 }
 
 TEST(ScenarioTest, SingleBinIsAlwaysCoveredAndMaximal) {
@@ -355,11 +371,11 @@ TEST(ScenarioTest, SingleBinIsAlwaysCoveredAndMaximal) {
   spec.capacities = {4};
   spec.exp.replications = 20;
   spec.exp.base_seed = 3;
-  const Summary covered = hit_every_bin_merge({hit_every_bin_shard(spec)});
-  EXPECT_EQ(covered.mean, 1.0);
-  const auto by_class = class_max_load_merge({class_max_load_shard(spec)});
+  EXPECT_EQ(merged_state<ScalarCollector>("hit-every-bin", spec).stats.mean(), 1.0);
+  const auto by_class =
+      merged_state<KeyedCollector<ScalarCollector>>("class-max-load", spec).per_key;
   ASSERT_EQ(by_class.size(), 1u);
-  EXPECT_EQ(by_class.at(4).mean, 1.0);  // m = C on one bin: load exactly 1
+  EXPECT_EQ(by_class.at(4).stats.mean(), 1.0);  // m = C on one bin: load exactly 1
 }
 
 }  // namespace

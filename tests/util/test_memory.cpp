@@ -1,10 +1,10 @@
 // Tests for util/memory.hpp: the aligned (optionally huge-page-advised)
-// buffer under BinArray/WeightedBinArray slot storage, the HugePages knob
-// parsing, and the first-touch helper. Memory configuration must never be
-// observable in anything but telemetry and throughput, so these tests pin
-// the value-semantics contract (copy/move/grow preserve contents exactly)
-// and the silent-fallback contract (every HugePages setting allocates
-// usable memory on every platform).
+// buffer under BinArray/WeightedBinArray slot storage and the HugePages
+// knob parsing. Memory configuration must never be observable in anything
+// but telemetry and throughput, so these tests pin the value-semantics
+// contract (copy/move/grow preserve contents exactly) and the
+// silent-fallback contract (every HugePages setting allocates usable memory
+// on every platform).
 
 #include "util/memory.hpp"
 
@@ -12,8 +12,6 @@
 
 #include <cstdint>
 #include <utility>
-
-#include "util/parallel.hpp"
 
 namespace nubb {
 namespace {
@@ -127,12 +125,6 @@ TEST(AlignedBufferTest, SmallAutoAllocationIsNotAdvised) {
   // Below the 2 MiB threshold, auto mode skips the advise entirely.
   const AlignedBuffer<std::uint64_t> buf(16);
   EXPECT_FALSE(buf.huge_page_advised());
-}
-
-TEST(ParallelFirstTouchTest, ZeroFillsFromTheWorkers) {
-  AlignedBuffer<std::uint64_t> buf(5000);
-  parallel_first_touch(buf.data(), buf.size());
-  for (std::size_t i = 0; i < buf.size(); ++i) ASSERT_EQ(buf[i], 0u);
 }
 
 }  // namespace

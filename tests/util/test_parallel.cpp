@@ -26,11 +26,28 @@ struct RunningStatsAcc {
   void merge(const RunningStatsAcc& other) { stats.merge(other.stats); }
 };
 
+/// Run `replications` trials of `body(rep, rng, acc)` over the default
+/// chunk layout and fold the chunk states into `out` in chunk order, as the
+/// replication engine does.
+template <typename Acc, typename Body>
+void run_replications(std::uint64_t replications, std::uint64_t base_seed, Body body, Acc& out,
+                      ThreadPool* pool) {
+  struct NoContext {};
+  const ChunkLayout layout = make_chunk_layout(replications);
+  const auto states = replication_chunk_states<Acc>(
+      layout, base_seed, [] { return NoContext{}; },
+      [&body](std::uint64_t rep, Xoshiro256StarStar& rng, NoContext&, Acc& local) {
+        body(rep, rng, local);
+      },
+      0, layout.chunk_count, pool);
+  for (const auto& state : states) out.merge(state.second);
+}
+
 TEST(ParallelReplicationsTest, RunsEveryReplicationExactlyOnce) {
   ThreadPool pool(3);
   SumAcc acc;
   std::atomic<std::uint64_t> executions{0};
-  parallel_replications(
+  run_replications(
       257, 42,
       [&executions](std::uint64_t rep, Xoshiro256StarStar&, SumAcc& local) {
         executions.fetch_add(1);
@@ -46,7 +63,7 @@ TEST(ParallelReplicationsTest, RunsEveryReplicationExactlyOnce) {
 TEST(ParallelReplicationsTest, ZeroReplicationsIsNoop) {
   ThreadPool pool(2);
   SumAcc acc;
-  parallel_replications(
+  run_replications(
       0, 1, [](std::uint64_t, Xoshiro256StarStar&, SumAcc&) { FAIL(); }, acc, &pool);
   EXPECT_EQ(acc.count, 0u);
 }
@@ -55,7 +72,7 @@ TEST(ParallelReplicationsTest, ResultIndependentOfThreadCount) {
   auto run_with = [](std::size_t threads) {
     ThreadPool pool(threads);
     RunningStatsAcc acc;
-    parallel_replications(
+    run_replications(
         500, 123,
         [](std::uint64_t, Xoshiro256StarStar& rng, RunningStatsAcc& local) {
           local.stats.add(rng.next_double());
@@ -82,7 +99,7 @@ TEST(ParallelReplicationsTest, ReplicationSeedsAreStable) {
     void merge(const VecAcc& o) { draws.insert(draws.end(), o.draws.begin(), o.draws.end()); }
   };
   VecAcc acc;
-  parallel_replications(
+  run_replications(
       10, 77,
       [](std::uint64_t rep, Xoshiro256StarStar& rng, VecAcc& local) {
         local.draws.emplace_back(rep, rng.next());
@@ -95,46 +112,18 @@ TEST(ParallelReplicationsTest, ReplicationSeedsAreStable) {
   }
 }
 
-TEST(ParallelForTest, VisitsEveryIndexOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> visits(100);
-  parallel_for(
-      100, [&visits](std::uint64_t i) { visits[i].fetch_add(1); }, &pool);
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ParallelForTest, ZeroCountIsNoop) {
-  ThreadPool pool(2);
-  parallel_for(
-      0, [](std::uint64_t) { FAIL(); }, &pool);
-}
-
-TEST(ParallelForTest, WorksWithGlobalPool) {
-  std::atomic<int> hits{0};
-  parallel_for(10, [&hits](std::uint64_t) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 10);
-}
-
 TEST(ParallelReplicationsTest, BodyExceptionsPropagateToCaller) {
   // A failing replication must fail the whole experiment loudly, not get
   // swallowed by a worker thread.
   ThreadPool pool(2);
   SumAcc acc;
-  EXPECT_THROW(parallel_replications(
+  EXPECT_THROW(run_replications(
                    50, 9,
                    [](std::uint64_t rep, Xoshiro256StarStar&, SumAcc&) {
                      if (rep == 17) throw std::runtime_error("injected failure");
                    },
                    acc, &pool),
                std::runtime_error);
-}
-
-TEST(ParallelForTest, BodyExceptionsPropagateToCaller) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(
-                   20, [](std::uint64_t i) { if (i == 5) throw std::logic_error("boom"); },
-                   &pool),
-               std::logic_error);
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ void run_worker(const std::string& host, std::uint16_t port, std::uint64_t balls
 /// no lock — balls/second of the raw placement loop.
 double kernel_balls_per_sec(const ServiceConfig& cfg, std::uint64_t balls) {
   BinArray bins(cfg.capacities, cfg.game.memory);
-  const BinSampler sampler = BinSampler::from_policy(cfg.policy, cfg.capacities);
+  const BinSampler sampler = BinSampler::from_policy(cfg.policy, cfg.capacities, cfg.game.memory);
   GameConfig game = cfg.game;
   game.balls = balls;
   PlacementKernel kernel(bins, sampler, game, balls);

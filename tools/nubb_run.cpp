@@ -370,8 +370,8 @@ int main(int argc, char** argv) {
         throw std::runtime_error(
             "--shard writes state to --out, not results; use --json on the merge step");
       }
-      spec.exp.shard_index = shard->first;
-      spec.exp.shard_count = shard->second;
+      spec.shard_index = shard->first;
+      spec.shard_count = shard->second;
 
       // Build the whole document in memory first — the engine pass runs
       // inside the state serialization, and a failure mid-run must not
