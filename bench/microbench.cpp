@@ -514,9 +514,8 @@ int main(int argc, char** argv) {
     if (sink == 42) std::cout << "";
   }
 
-  // --- Bulk-draw primitives: the batch fills the v2 kernels consume, scalar
-  // vs AVX2 on the same draw streams (the pairs are bit-identical; only the
-  // throughput differs, which is exactly what the /simd speedup rows gate).
+  // --- Bulk-draw primitive: the batch fill the v2 kernels consume for
+  // uniform samplers (timed only; it has no speedup key).
   {
     std::vector<std::uint32_t> buf(1 << 16);  // 256 KiB of outputs, L2-resident
     Xoshiro256StarStar rng(opt.seed + 11);
@@ -524,34 +523,6 @@ int main(int argc, char** argv) {
                               buf.size(), reps, [&rng, &buf] {
                                 rng.bounded_fill(10'000, buf.data(), buf.size());
                               }));
-    if (simd_avail) {
-      results.push_back(measure("rng/bounded_fill/simd", "rng_bounded_fill", "none",
-                                "primitive_simd", buf.size(), reps, [&rng, &buf] {
-                                  detail::bounded_fill_avx2(rng, 10'000, buf.data(),
-                                                            buf.size());
-                                }));
-    }
-  }
-  {
-    std::vector<double> weights(100'000);
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      weights[i] = static_cast<double>(1 + i % 8);
-    }
-    const AliasTable table(weights);
-    std::vector<std::uint32_t> buf(1 << 16);
-    Xoshiro256StarStar rng(opt.seed + 12);
-    results.push_back(measure("alias/sample_fill_100k", "alias_sample_fill", "mod8_100k",
-                              "primitive", buf.size(), reps, [&table, &rng, &buf] {
-                                table.sample_fill(buf.data(), buf.size(), rng, SimdMode::kOff);
-                              }));
-    if (simd_avail) {
-      results.push_back(measure("alias/sample_fill_100k/simd", "alias_sample_fill",
-                                "mod8_100k", "primitive_simd", buf.size(), reps,
-                                [&table, &rng, &buf] {
-                                  table.sample_fill(buf.data(), buf.size(), rng,
-                                                    SimdMode::kOn);
-                                }));
-    }
   }
 
   // --- Full games: kernel vs frozen reference on the paper's profiles ---
@@ -727,17 +698,6 @@ int main(int argc, char** argv) {
           ref.profile == r.profile && ref.ops_per_sec > 0.0) {
         speedups.push_back(
             {r.algorithm + "/" + r.profile + "/v2_simd", r.ops_per_sec / ref.ops_per_sec});
-      }
-    }
-  }
-  // Primitive pairs (bulk RNG / alias fills): the simd row's own name is the
-  // speedup key, reading "primitive_simd over primitive".
-  for (const auto& r : results) {
-    if (r.impl != "primitive_simd") continue;
-    for (const auto& ref : results) {
-      if (ref.impl == "primitive" && ref.algorithm == r.algorithm &&
-          ref.profile == r.profile && ref.ops_per_sec > 0.0) {
-        speedups.push_back({r.name, r.ops_per_sec / ref.ops_per_sec});
       }
     }
   }

@@ -294,7 +294,11 @@ NUBB_NOINLINE RunTotals run_v2_d3(BinSlot* const slots, const std::uint64_t* con
   return t;
 }
 
-template <bool Fast64, class Sizes>
+/// Single choice: the resolve is one commit per ball. `Fill` is the
+/// candidate phase — fill_candidates_v2, or fill_candidates_avx2 under the
+/// AVX2 dispatch (the same draws) — and the only difference between the
+/// two instantiations.
+template <bool Fast64, auto Fill, class Sizes>
 NUBB_NOINLINE RunTotals run_v2_d1(BinSlot* const slots, const std::uint64_t* const threshold,
                                   const std::uint32_t* const alias, const std::uint64_t n,
                                   const std::uint64_t count, const Sizes sz,
@@ -304,7 +308,7 @@ NUBB_NOINLINE RunTotals run_v2_d1(BinSlot* const slots, const std::uint64_t* con
     const auto nb = static_cast<std::size_t>(std::min<std::uint64_t>(
         PlacementKernel::kStreamBlock, count - done));
     sz.fill(rng, nb);
-    fill_candidates_v2(threshold, alias, n, cand, nb, rng);
+    Fill(threshold, alias, n, cand, nb, rng);
     const std::size_t pf_end = prefetch_end(prefetch, nb);
     for (std::size_t b = 0; b < nb; ++b) {
       if (b < pf_end) prefetch_read(&slots[cand[b + kPrefetchAhead]]);
@@ -316,13 +320,15 @@ NUBB_NOINLINE RunTotals run_v2_d1(BinSlot* const slots, const std::uint64_t* con
 }
 
 /// General d (independent choices): block-drawn candidates and one tie word
-/// per ball, per-ball decide through the generic pretied fold. Distinct mode
+/// per ball, per-ball decide through the generic pretied fold (not worth
+/// vectorising at the paper's operating points, so the AVX2 dispatch runs
+/// this loop too, with its vector `Fill` as for d = 1). Distinct mode
 /// never reaches here — it keeps the v1 per-ball rejection order (see
 /// run_v2_impl). Honors the cross-ball candidate prefetch like the d <= 3
 /// shapes: at d >= 4 each ball probes d random slots, so the lines of ball
 /// b + kPrefetchAhead are exactly the ones still missing when the d = 2/3
 /// heuristics were tuned — same gate, bit-identical on-vs-off.
-template <bool Fast64, TieBreak TB, class Sizes>
+template <bool Fast64, TieBreak TB, auto Fill, class Sizes>
 NUBB_NOINLINE RunTotals run_v2_generic(BinSlot* const slots,
                                        const std::uint64_t* const threshold,
                                        const std::uint32_t* const alias,
@@ -335,7 +341,7 @@ NUBB_NOINLINE RunTotals run_v2_generic(BinSlot* const slots,
     const auto nb = static_cast<std::size_t>(std::min<std::uint64_t>(
         PlacementKernel::kStreamBlock, count - done));
     sz.fill(rng, nb);
-    fill_candidates_v2(threshold, alias, n, cand, d * nb, rng);
+    Fill(threshold, alias, n, cand, d * nb, rng);
     fill_ties_v2(tie, nb, rng);
     const std::size_t pf_end = prefetch_end(prefetch, nb);
     for (std::size_t b = 0; b < nb; ++b) {
@@ -380,15 +386,21 @@ void PlacementKernel::run_weighted_impl(PlacementKernel& k, std::uint64_t count,
   }
 }
 
-/// Stream-v2 bulk dispatch: pick the loop shape once, run it with every hot
-/// field — including the running maximum — in locals, and flush to the bin
-/// array at the end. The locals matter because the commit stage stores
-/// through a slot pointer, which under type-based aliasing forces reloads of
-/// any uint64-typed member it might alias on every ball if they live in
-/// memory. Block buffers are sized lazily on the first bulk run.
-template <bool Fast64, TieBreak TB, class Sizes>
+/// Stream-v2 bulk dispatch, scalar and AVX2 alike: pick the loop shape once,
+/// run it with every hot field — including the running maximum — in locals,
+/// and flush to the bin array at the end. The locals matter because the
+/// commit stage stores through a slot pointer, which under type-based
+/// aliasing forces reloads of any uint64-typed member it might alias on
+/// every ball if they live in memory. Block buffers are sized lazily on the
+/// first bulk run. Under kAvx2 (installed only at the 64-bit width) d = 2
+/// and d = 3 run the vector loops of placement_kernel_avx2.cpp, and every
+/// other d its scalar loop with the vector candidate fill.
+template <bool Fast64, TieBreak TB, SimdImpl Impl, class Sizes>
 void PlacementKernel::run_loop_v2(PlacementKernel& k, std::uint64_t count, Sizes sz,
                                   Xoshiro256StarStar& rng) {
+  constexpr bool kAvx2 = Impl == SimdImpl::kAvx2;
+  static_assert(Fast64 || !kAvx2, "the AVX2 loops compare at the 64-bit width only");
+  constexpr auto fill = kAvx2 ? &detail::fill_candidates_avx2 : &detail::fill_candidates_v2;
   const AliasTable* const table = k.table_;
   const std::uint64_t* const threshold =
       table != nullptr ? table->threshold_data() : nullptr;
@@ -396,7 +408,9 @@ void PlacementKernel::run_loop_v2(PlacementKernel& k, std::uint64_t count, Sizes
   const std::uint64_t n = k.n_;
   BinSlot* const slots = k.slots_;
 
-  const std::size_t need = kStreamBlock * k.d_;
+  // The fused AVX2 d = 2 loop double-buffers the candidate block (the tie
+  // buffer's kStreamBlock words hold its two halves already).
+  const std::size_t need = kStreamBlock * k.d_ * (kAvx2 && k.d_ == 2 ? 2 : 1);
   if (k.v2_cand_.size() < need) k.v2_cand_.resize(need);
   std::uint32_t* const cand = k.v2_cand_.data();
   if (k.d_ >= 2 && k.v2_tie_.size() < kStreamBlock) k.v2_tie_.resize(kStreamBlock);
@@ -404,15 +418,18 @@ void PlacementKernel::run_loop_v2(PlacementKernel& k, std::uint64_t count, Sizes
 
   RunTotals t{*k.total_, k.max_load_->balls, k.max_load_->capacity, *k.argmax_};
   const bool pf = k.prefetch_;
-  if (k.d_ == 2) {
+  if (kAvx2 && (k.d_ == 2 || k.d_ == 3)) {
+    t = detail::run_v2_avx2<TB>(k.d_, slots, threshold, alias, n, count, sz, cand, tie,
+                                k.caps_u32_, pf, t, rng);
+  } else if (k.d_ == 2) {
     t = run_v2_d2<Fast64, TB>(slots, threshold, alias, n, count, sz, cand, tie, pf, t, rng);
   } else if (k.d_ == 3) {
     t = run_v2_d3<Fast64, TB>(slots, threshold, alias, n, count, sz, cand, tie, pf, t, rng);
   } else if (k.d_ == 1) {
-    t = run_v2_d1<Fast64>(slots, threshold, alias, n, count, sz, cand, pf, t, rng);
+    t = run_v2_d1<Fast64, fill>(slots, threshold, alias, n, count, sz, cand, pf, t, rng);
   } else {
-    t = run_v2_generic<Fast64, TB>(slots, threshold, alias, n, k.choices_, k.d_, count, sz,
-                                   cand, tie, pf, t, rng);
+    t = run_v2_generic<Fast64, TB, fill>(slots, threshold, alias, n, k.choices_, k.d_, count,
+                                         sz, cand, tie, pf, t, rng);
   }
 
   *k.total_ = t.total;
@@ -420,7 +437,7 @@ void PlacementKernel::run_loop_v2(PlacementKernel& k, std::uint64_t count, Sizes
   *k.argmax_ = t.argmax;
 }
 
-template <bool Fast64, TieBreak TB>
+template <bool Fast64, TieBreak TB, SimdImpl Impl>
 void PlacementKernel::run_v2_impl(PlacementKernel& k, std::uint64_t count,
                                   Xoshiro256StarStar& rng) {
   if (k.distinct_) {
@@ -429,10 +446,10 @@ void PlacementKernel::run_v2_impl(PlacementKernel& k, std::uint64_t count,
     run_impl<Fast64, TB>(k, count, rng);
     return;
   }
-  run_loop_v2<Fast64, TB>(k, count, UnitSizes{}, rng);
+  run_loop_v2<Fast64, TB, Impl>(k, count, UnitSizes{}, rng);
 }
 
-template <bool Fast64, TieBreak TB>
+template <bool Fast64, TieBreak TB, SimdImpl Impl>
 void PlacementKernel::run_weighted_v2_impl(PlacementKernel& k, std::uint64_t count,
                                            const BallSizeModel& sizes,
                                            Xoshiro256StarStar& rng) {
@@ -441,7 +458,7 @@ void PlacementKernel::run_weighted_v2_impl(PlacementKernel& k, std::uint64_t cou
     return;
   }
   if (k.v2_sizes_.size() < kStreamBlock) k.v2_sizes_.resize(kStreamBlock);
-  run_loop_v2<Fast64, TB>(k, count, ModelSizes{&sizes, k.v2_sizes_.data()}, rng);
+  run_loop_v2<Fast64, TB, Impl>(k, count, ModelSizes{&sizes, k.v2_sizes_.data()}, rng);
 }
 
 template <TieBreak TB>
@@ -456,14 +473,15 @@ void PlacementKernel::select_for_tie_break() {
     // ball cannot amortise a vector setup, and the draws are identical either
     // way. simd_ is demoted so simd_impl() reports what bulk runs execute.
     if (simd_ == SimdImpl::kAvx2 && f && !distinct_) {
-      run_fn_ = &run_v2_avx2_impl<TB>;
-      run_weighted_fn_ = &run_weighted_v2_avx2_impl<TB>;
+      run_fn_ = &run_v2_impl<true, TB, SimdImpl::kAvx2>;
+      run_weighted_fn_ = &run_weighted_v2_impl<true, TB, SimdImpl::kAvx2>;
       return;
     }
     simd_ = SimdImpl::kScalar;
-    run_fn_ = f ? &run_v2_impl<true, TB> : &run_v2_impl<false, TB>;
-    run_weighted_fn_ =
-        f ? &run_weighted_v2_impl<true, TB> : &run_weighted_v2_impl<false, TB>;
+    run_fn_ = f ? &run_v2_impl<true, TB, SimdImpl::kScalar>
+                : &run_v2_impl<false, TB, SimdImpl::kScalar>;
+    run_weighted_fn_ = f ? &run_weighted_v2_impl<true, TB, SimdImpl::kScalar>
+                         : &run_weighted_v2_impl<false, TB, SimdImpl::kScalar>;
     return;
   }
   simd_ = SimdImpl::kScalar;  // stream v1 has no vector form

@@ -286,30 +286,18 @@ class PlacementKernel {
   template <bool Fast64, TieBreak TB>
   static void run_weighted_impl(PlacementKernel& k, std::uint64_t count,
                                 const BallSizeModel& sizes, Xoshiro256StarStar& rng);
-  template <bool Fast64, TieBreak TB>
+  // Stream-v2 bulk entry points. `Impl` is kAvx2 only when
+  // select_for_tie_break found simd_ resolved to it on a Fast64
+  // non-distinct kernel; its loops (placement_kernel_avx2.cpp) are
+  // bit-identical to the scalar ones.
+  template <bool Fast64, TieBreak TB, SimdImpl Impl>
   static void run_v2_impl(PlacementKernel& k, std::uint64_t count, Xoshiro256StarStar& rng);
-  template <bool Fast64, TieBreak TB>
+  template <bool Fast64, TieBreak TB, SimdImpl Impl>
   static void run_weighted_v2_impl(PlacementKernel& k, std::uint64_t count,
                                    const BallSizeModel& sizes, Xoshiro256StarStar& rng);
-  template <bool Fast64, TieBreak TB, class Sizes>
+  template <bool Fast64, TieBreak TB, SimdImpl Impl, class Sizes>
   static void run_loop_v2(PlacementKernel& k, std::uint64_t count, Sizes sz,
                           Xoshiro256StarStar& rng);
-
-  // AVX2 counterparts of the stream-v2 bulk entry points, defined and
-  // explicitly instantiated in placement_kernel_avx2.cpp (the only core TU
-  // compiled with -mavx2; it builds aborting stubs when the flag is
-  // unavailable, so these always link). Installed by select_for_tie_break
-  // only when simd_ resolved to kAvx2 on a Fast64 non-distinct v2 kernel;
-  // bit-identical to run_v2_impl / run_weighted_v2_impl.
-  template <TieBreak TB>
-  static void run_v2_avx2_impl(PlacementKernel& k, std::uint64_t count,
-                               Xoshiro256StarStar& rng);
-  template <TieBreak TB>
-  static void run_weighted_v2_avx2_impl(PlacementKernel& k, std::uint64_t count,
-                                        const BallSizeModel& sizes, Xoshiro256StarStar& rng);
-  template <TieBreak TB, class Sizes>
-  static void run_loop_v2_avx2(PlacementKernel& k, std::uint64_t count, Sizes sz,
-                               Xoshiro256StarStar& rng);
 
   void validate(const BinSampler& sampler, std::size_t bins, const GameConfig& cfg) const;
   void select_impl(TieBreak tie_break);

@@ -1,7 +1,10 @@
 /// \file placement_kernel_avx2.cpp
-/// AVX2 bodies of the stream-v2 bulk loops. The only core TU compiled with
-/// -mavx2 (src/CMakeLists.txt); when the toolchain lacks the flag the same
-/// TU builds aborting stubs, so the symbols always link and runtime dispatch
+/// AVX2 bodies of the stream-v2 bulk loops: the vector candidate fill and
+/// the d = 2 / d = 3 resolve loops (detail::fill_candidates_avx2 and
+/// detail::run_v2_avx2, declared in placement_resolve.hpp). The only TU of
+/// the library compiled with -mavx2 (src/CMakeLists.txt); when the
+/// toolchain lacks the flag the same TU builds aborting stubs, so the
+/// symbols always link and runtime dispatch
 /// (PlacementKernel::select_for_tie_break, via util/simd.hpp) is the only
 /// gate.
 ///
@@ -39,13 +42,14 @@
 ///    (the vector fill needs gathers that only pay off on larger n), which
 ///    is why the gate sits at the scalar-fill regime.
 ///  * d = 1 and generic d keep the scalar resolve (it is load-bound, not
-///    compute-bound) and take only the vector candidate fill.
+///    compute-bound): the scalar TU runs their one loop each, with
+///    fill_candidates_avx2 as the candidate phase.
 ///
 /// Only the Fast64 comparison width is vectorised (128-bit cross products
 /// have no AVX2 form); select_for_tie_break never installs these entry
 /// points otherwise.
 
-#include "core/placement_kernel.hpp"
+#include "core/placement_resolve.hpp"
 
 #include "util/assert.hpp"
 
@@ -59,7 +63,6 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "core/placement_resolve.hpp"
 #include "core/weighted.hpp"
 #include "util/avx2_math.hpp"
 #include "util/int128.hpp"
@@ -67,36 +70,25 @@
 
 namespace nubb {
 
-namespace {
+namespace detail {
 
-using namespace detail::avx2;
-using detail::draw_candidate_v2;
-using detail::kPrefetchAhead;
-using detail::ModelSizes;
-using detail::prefetch_end;
-using detail::RunTotals;
-using detail::UnitSizes;
-
-/// Vector candidate phase: bit-identical to detail::fill_candidates_v2.
-/// Uniform samplers take the shared RNG fast path; alias tables run the
-/// fused single-word draw (slot = high product half, mantissa = bits 11..63
-/// of the accepted low half) four lanes at a time with chunk-replay on the
-/// rare Lemire rejection.
+/// Vector candidate phase: bit-identical to fill_candidates_v2. Alias
+/// tables run the fused single-word draw (slot = high product half,
+/// mantissa = bits 11..63 of the accepted low half) four lanes at a time
+/// with chunk-replay on the rare Lemire rejection.
 void fill_candidates_avx2(const std::uint64_t* const threshold,
                           const std::uint32_t* const alias, const std::uint64_t n,
                           std::uint32_t* const cand, const std::size_t count,
                           Xoshiro256StarStar& rng) {
-  if (threshold == nullptr) {
-    detail::bounded_fill_avx2(rng, n, cand, count);
-    return;
-  }
-  // Small alias tables live in L1 (12 bytes of table per bin), where the
-  // scalar fused draw beats the vector pass: the two table gathers per quad
-  // cost more than they hide, while at 100k+ bins they overlap four L2/L3
-  // loads and win by ~2x. The draws are identical either way — this is a
-  // pure speed crossover, measured on Skylake.
-  if (n <= 2048) {
-    detail::fill_candidates_v2(threshold, alias, n, cand, count, rng);
+  // Uniform samplers have no table to gather from; the vector Lemire
+  // product alone never beat the scalar bulk bounded draw (the serial
+  // xoshiro recurrence bounds both). Small alias tables live in L1 (12
+  // bytes of table per bin), where the scalar fused draw beats the vector
+  // pass: the two table gathers per quad cost more than they hide, while at
+  // 100k+ bins they overlap four L2/L3 loads and win. The draws are
+  // identical either way — these are pure speed crossovers.
+  if (threshold == nullptr || n <= 2048) {
+    fill_candidates_v2(threshold, alias, n, cand, count, rng);
     return;
   }
   const std::uint64_t reject = (0 - n) % n;
@@ -119,8 +111,8 @@ void fill_candidates_avx2(const std::uint64_t* const threshold,
       const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw + j));
       __m256i hi;
       __m256i lo;
-      mul64_hilo_b32(x, vn, hi, lo);
-      any_reject = _mm256_or_si256(any_reject, cmplt_u64(lo, vreject));
+      avx2::mul64_hilo_b32(x, vn, hi, lo);
+      any_reject = _mm256_or_si256(any_reject, avx2::cmplt_u64(lo, vreject));
       // 64-bit lane indices: slots can exceed 2^31, which a 32-bit index
       // gather would sign-extend into garbage.
       const __m256i thr =
@@ -128,10 +120,10 @@ void fill_candidates_avx2(const std::uint64_t* const threshold,
       const __m256i mant = _mm256_srli_epi64(lo, 11);
       // Both sides are below 2^53, so the signed compare is exact.
       const __m256i accept = _mm256_cmpgt_epi64(thr, mant);
-      const __m128i slot32 = pack_lo32(hi);
+      const __m128i slot32 = avx2::pack_lo32(hi);
       const __m128i al32 =
           _mm256_i64gather_epi32(reinterpret_cast<const int*>(alias), hi, 4);
-      const __m128i res = _mm_blendv_epi8(al32, slot32, pack_lo32(accept));
+      const __m128i res = _mm_blendv_epi8(al32, slot32, avx2::pack_lo32(accept));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(cand + done + j), res);
     }
     if (!_mm256_testz_si256(any_reject, any_reject)) [[unlikely]] {
@@ -156,6 +148,18 @@ void fill_candidates_avx2(const std::uint64_t* const threshold,
     rng = local;
   }
 }
+
+}  // namespace detail
+
+namespace {
+
+using namespace detail::avx2;
+using detail::draw_candidate_v2;
+using detail::kPrefetchAhead;
+using detail::ModelSizes;
+using detail::prefetch_end;
+using detail::RunTotals;
+using detail::UnitSizes;
 
 /// Operand width the resolve cross products were proven to need, picked per
 /// run call (see mul_width below). Narrower operands drop whole columns of
@@ -408,7 +412,7 @@ NUBB_NOINLINE RunTotals run_v2_d2_avx2(BinSlot* const slots,
     const auto nb = static_cast<std::size_t>(
         std::min<std::uint64_t>(PlacementKernel::kStreamBlock, count - done));
     sz.fill(rng, nb);
-    fill_candidates_avx2(threshold, alias, n, cand, 2 * nb, rng);
+    detail::fill_candidates_avx2(threshold, alias, n, cand, 2 * nb, rng);
     detail::fill_ties_v2(tie, (nb + 63) / 64, rng);
     const std::size_t pf_end = prefetch_end(want_pf, nb);
     const std::size_t nb4 = nb & ~std::size_t{3};
@@ -616,7 +620,7 @@ NUBB_NOINLINE RunTotals run_v2_d3_avx2(BinSlot* const slots,
     const auto nb = static_cast<std::size_t>(
         std::min<std::uint64_t>(PlacementKernel::kStreamBlock, count - done));
     sz.fill(rng, nb);
-    fill_candidates_avx2(threshold, alias, n, cand, 3 * nb, rng);
+    detail::fill_candidates_avx2(threshold, alias, n, cand, 3 * nb, rng);
     detail::fill_ties_v2(tie, (nb + 1) / 2, rng);
     const std::size_t pf_end = prefetch_end(want_pf, nb);
     const std::size_t nb4 = nb & ~std::size_t{3};
@@ -804,178 +808,61 @@ NUBB_NOINLINE RunTotals run_v2_d3_avx2(BinSlot* const slots,
   return t;
 }
 
-/// Single choice: the resolve is one commit per ball — only the candidate
-/// fill vectorises.
-template <class Sizes>
-NUBB_NOINLINE RunTotals run_v2_d1_avx2(BinSlot* const slots,
-                                       const std::uint64_t* const threshold,
-                                       const std::uint32_t* const alias, const std::uint64_t n,
-                                       const std::uint64_t count, const Sizes sz,
-                                       std::uint32_t* const cand, const bool prefetch,
-                                       RunTotals t, Xoshiro256StarStar& rng) {
-  for (std::uint64_t done = 0; done < count;) {
-    const auto nb = static_cast<std::size_t>(
-        std::min<std::uint64_t>(PlacementKernel::kStreamBlock, count - done));
-    sz.fill(rng, nb);
-    fill_candidates_avx2(threshold, alias, n, cand, nb, rng);
-    const std::size_t pf_end = prefetch_end(prefetch, nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (b < pf_end) prefetch_read(&slots[cand[b + kPrefetchAhead]]);
-      detail::commit_amount<true>(slots, cand[b], sz.get(b), t);
-    }
-    done += nb;
-  }
-  return t;
-}
-
-/// General d >= 4: the decide fold is a data-dependent loop over d
-/// candidates (not worth vectorising at the paper's operating points) —
-/// only the candidate fill runs wide. Mirrors the scalar run_v2_generic,
-/// cross-ball prefetch included.
-template <TieBreak TB, class Sizes>
-NUBB_NOINLINE RunTotals run_v2_generic_avx2(
-    BinSlot* const slots, const std::uint64_t* const threshold,
-    const std::uint32_t* const alias, const std::uint64_t n, std::size_t* const choices,
-    const std::uint32_t d, const std::uint64_t count, const Sizes sz,
-    std::uint32_t* const cand, std::uint64_t* const tie, const bool prefetch, RunTotals t,
-    Xoshiro256StarStar& rng) {
-  for (std::uint64_t done = 0; done < count;) {
-    const auto nb = static_cast<std::size_t>(
-        std::min<std::uint64_t>(PlacementKernel::kStreamBlock, count - done));
-    sz.fill(rng, nb);
-    fill_candidates_avx2(threshold, alias, n, cand, d * nb, rng);
-    detail::fill_ties_v2(tie, nb, rng);
-    const std::size_t pf_end = prefetch_end(prefetch, nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (b < pf_end) {
-        const std::uint32_t* const ahead = cand + d * (b + kPrefetchAhead);
-        for (std::uint32_t i = 0; i < d; ++i) prefetch_read(&slots[ahead[i]]);
-      }
-      const std::uint64_t w = sz.get(b);
-      for (std::uint32_t i = 0; i < d; ++i) {
-        choices[i] = static_cast<std::size_t>(cand[d * b + i]);
-      }
-      const std::size_t dest = detail::decide_destination_pretied<true, TB>(
-          detail::SlotLoadView{slots}, choices, d, w, tie[b]);
-      detail::commit_amount<true>(slots, dest, w, t);
-    }
-    done += nb;
-  }
-  return t;
-}
-
 }  // namespace
 
-/// AVX2 twin of run_loop_v2: same buffer sizing, same flush-at-the-end
-/// structure, Fast64 hardwired (select_for_tie_break never installs the
-/// AVX2 entry points on a 128-bit-width kernel).
 template <TieBreak TB, class Sizes>
-void PlacementKernel::run_loop_v2_avx2(PlacementKernel& k, std::uint64_t count, Sizes sz,
-                                       Xoshiro256StarStar& rng) {
-  const AliasTable* const table = k.table_;
-  const std::uint64_t* const threshold =
-      table != nullptr ? table->threshold_data() : nullptr;
-  const std::uint32_t* const alias = table != nullptr ? table->alias_data() : nullptr;
-  const std::uint64_t n = k.n_;
-  BinSlot* const slots = k.slots_;
-
-  // d = 2 double-buffers the candidate block for the fused fill+resolve
-  // loop (the tie buffer already holds kStreamBlock words — room enough for
-  // the two 4-word halves it needs).
-  const std::size_t need = kStreamBlock * k.d_ * (k.d_ == 2 ? 2 : 1);
-  if (k.v2_cand_.size() < need) k.v2_cand_.resize(need);
-  std::uint32_t* const cand = k.v2_cand_.data();
-  if (k.d_ >= 2 && k.v2_tie_.size() < kStreamBlock) k.v2_tie_.resize(kStreamBlock);
-  std::uint64_t* const tie = k.v2_tie_.data();
-
-  detail::RunTotals t{*k.total_, k.max_load_->balls, k.max_load_->capacity, *k.argmax_};
-  const bool pf = k.prefetch_;
-  if (k.d_ == 2) {
+RunTotals detail::run_v2_avx2(const std::uint32_t d, BinSlot* const slots,
+                              const std::uint64_t* const threshold,
+                              const std::uint32_t* const alias, const std::uint64_t n,
+                              const std::uint64_t count, const Sizes sz,
+                              std::uint32_t* const cand, std::uint64_t* const tie,
+                              const bool caps_u32, const bool prefetch, RunTotals t,
+                              Xoshiro256StarStar& rng) {
+  if (d == 2) {
     // Unit balls under a small alias table take the fused loop: the fill is
     // in its scalar regime there (see fill_candidates_avx2), which is what
     // the interleave hides. Weighted runs would need a second size buffer
     // for no measured gain; large tables fill through the vector gather
     // path, which must stay a block-bulk pass.
-    const bool fuse =
-        std::is_same_v<Sizes, detail::UnitSizes> && threshold != nullptr && n <= 2048;
-    switch (mul_width(k.caps_u32_, slots, n, count, sz)) {
+    const bool fuse = std::is_same_v<Sizes, UnitSizes> && threshold != nullptr && n <= 2048;
+    switch (mul_width(caps_u32, slots, n, count, sz)) {
       case MulW::kVals32:
-        t = fuse ? run_v2_d2_avx2_fused<TB, MulW::kVals32>(slots, threshold, alias, n,
-                                                           count, cand, tie, t, rng)
+        t = fuse ? run_v2_d2_avx2_fused<TB, MulW::kVals32>(slots, threshold, alias, n, count,
+                                                           cand, tie, t, rng)
                  : run_v2_d2_avx2<TB, MulW::kVals32>(slots, threshold, alias, n, count, sz,
-                                                     cand, tie, pf, t, rng);
+                                                     cand, tie, prefetch, t, rng);
         break;
       case MulW::kCaps32:
-        t = fuse ? run_v2_d2_avx2_fused<TB, MulW::kCaps32>(slots, threshold, alias, n,
-                                                           count, cand, tie, t, rng)
+        t = fuse ? run_v2_d2_avx2_fused<TB, MulW::kCaps32>(slots, threshold, alias, n, count,
+                                                           cand, tie, t, rng)
                  : run_v2_d2_avx2<TB, MulW::kCaps32>(slots, threshold, alias, n, count, sz,
-                                                     cand, tie, pf, t, rng);
+                                                     cand, tie, prefetch, t, rng);
         break;
       case MulW::kFull:
         t = fuse ? run_v2_d2_avx2_fused<TB, MulW::kFull>(slots, threshold, alias, n, count,
                                                          cand, tie, t, rng)
                  : run_v2_d2_avx2<TB, MulW::kFull>(slots, threshold, alias, n, count, sz,
-                                                   cand, tie, pf, t, rng);
+                                                   cand, tie, prefetch, t, rng);
         break;
     }
-  } else if (k.d_ == 3) {
-    switch (mul_width(k.caps_u32_, slots, n, count, sz)) {
-      case MulW::kVals32:
-        t = run_v2_d3_avx2<TB, MulW::kVals32>(slots, threshold, alias, n, count, sz, cand,
-                                              tie, pf, t, rng);
-        break;
-      case MulW::kCaps32:
-        t = run_v2_d3_avx2<TB, MulW::kCaps32>(slots, threshold, alias, n, count, sz, cand,
-                                              tie, pf, t, rng);
-        break;
-      case MulW::kFull:
-        t = run_v2_d3_avx2<TB, MulW::kFull>(slots, threshold, alias, n, count, sz, cand,
-                                            tie, pf, t, rng);
-        break;
-    }
-  } else if (k.d_ == 1) {
-    t = run_v2_d1_avx2(slots, threshold, alias, n, count, sz, cand, pf, t, rng);
-  } else {
-    t = run_v2_generic_avx2<TB>(slots, threshold, alias, n, k.choices_, k.d_, count, sz,
-                                cand, tie, pf, t, rng);
+    return t;
   }
-
-  *k.total_ = t.total;
-  *k.max_load_ = Load{t.max_num, t.max_cap};
-  *k.argmax_ = t.argmax;
+  switch (mul_width(caps_u32, slots, n, count, sz)) {
+    case MulW::kVals32:
+      t = run_v2_d3_avx2<TB, MulW::kVals32>(slots, threshold, alias, n, count, sz, cand, tie,
+                                            prefetch, t, rng);
+      break;
+    case MulW::kCaps32:
+      t = run_v2_d3_avx2<TB, MulW::kCaps32>(slots, threshold, alias, n, count, sz, cand, tie,
+                                            prefetch, t, rng);
+      break;
+    case MulW::kFull:
+      t = run_v2_d3_avx2<TB, MulW::kFull>(slots, threshold, alias, n, count, sz, cand, tie,
+                                          prefetch, t, rng);
+      break;
+  }
+  return t;
 }
-
-template <TieBreak TB>
-void PlacementKernel::run_v2_avx2_impl(PlacementKernel& k, std::uint64_t count,
-                                       Xoshiro256StarStar& rng) {
-  run_loop_v2_avx2<TB>(k, count, detail::UnitSizes{}, rng);
-}
-
-template <TieBreak TB>
-void PlacementKernel::run_weighted_v2_avx2_impl(PlacementKernel& k, std::uint64_t count,
-                                                const BallSizeModel& sizes,
-                                                Xoshiro256StarStar& rng) {
-  if (k.v2_sizes_.size() < kStreamBlock) k.v2_sizes_.resize(kStreamBlock);
-  run_loop_v2_avx2<TB>(k, count, detail::ModelSizes{&sizes, k.v2_sizes_.data()}, rng);
-}
-
-// The entry points select_for_tie_break installs (access checking does not
-// apply to explicit instantiations, so the private member templates can be
-// instantiated from here).
-template void PlacementKernel::run_v2_avx2_impl<TieBreak::kPreferLargerCapacity>(
-    PlacementKernel&, std::uint64_t, Xoshiro256StarStar&);
-template void PlacementKernel::run_v2_avx2_impl<TieBreak::kUniform>(PlacementKernel&,
-                                                                    std::uint64_t,
-                                                                    Xoshiro256StarStar&);
-template void PlacementKernel::run_v2_avx2_impl<TieBreak::kFirstChoice>(PlacementKernel&,
-                                                                        std::uint64_t,
-                                                                        Xoshiro256StarStar&);
-template void PlacementKernel::run_weighted_v2_avx2_impl<TieBreak::kPreferLargerCapacity>(
-    PlacementKernel&, std::uint64_t, const BallSizeModel&, Xoshiro256StarStar&);
-template void PlacementKernel::run_weighted_v2_avx2_impl<TieBreak::kUniform>(
-    PlacementKernel&, std::uint64_t, const BallSizeModel&, Xoshiro256StarStar&);
-template void PlacementKernel::run_weighted_v2_avx2_impl<TieBreak::kFirstChoice>(
-    PlacementKernel&, std::uint64_t, const BallSizeModel&, Xoshiro256StarStar&);
 
 }  // namespace nubb
 
@@ -983,35 +870,54 @@ template void PlacementKernel::run_weighted_v2_avx2_impl<TieBreak::kFirstChoice>
 
 namespace nubb {
 
-// select_for_tie_break never installs these when simd_kernels_compiled() is
-// false, so reaching a stub is a dispatch bug, not a user error.
-template <TieBreak TB>
-void PlacementKernel::run_v2_avx2_impl(PlacementKernel&, std::uint64_t,
-                                       Xoshiro256StarStar&) {
+// select_for_tie_break never installs the AVX2 loops when
+// simd_kernels_compiled() is false, so reaching a stub is a dispatch bug,
+// not a user error.
+void detail::fill_candidates_avx2(const std::uint64_t*, const std::uint32_t*, std::uint64_t,
+                                  std::uint32_t*, std::size_t, Xoshiro256StarStar&) {
   NUBB_REQUIRE_MSG(false, "AVX2 placement kernels were not compiled");
 }
 
-template <TieBreak TB>
-void PlacementKernel::run_weighted_v2_avx2_impl(PlacementKernel&, std::uint64_t,
-                                                const BallSizeModel&, Xoshiro256StarStar&) {
+template <TieBreak TB, class Sizes>
+detail::RunTotals detail::run_v2_avx2(std::uint32_t, BinSlot*, const std::uint64_t*,
+                                      const std::uint32_t*, std::uint64_t, std::uint64_t,
+                                      Sizes, std::uint32_t*, std::uint64_t*, bool, bool,
+                                      RunTotals t, Xoshiro256StarStar&) {
   NUBB_REQUIRE_MSG(false, "AVX2 placement kernels were not compiled");
+  return t;
 }
-
-template void PlacementKernel::run_v2_avx2_impl<TieBreak::kPreferLargerCapacity>(
-    PlacementKernel&, std::uint64_t, Xoshiro256StarStar&);
-template void PlacementKernel::run_v2_avx2_impl<TieBreak::kUniform>(PlacementKernel&,
-                                                                    std::uint64_t,
-                                                                    Xoshiro256StarStar&);
-template void PlacementKernel::run_v2_avx2_impl<TieBreak::kFirstChoice>(PlacementKernel&,
-                                                                        std::uint64_t,
-                                                                        Xoshiro256StarStar&);
-template void PlacementKernel::run_weighted_v2_avx2_impl<TieBreak::kPreferLargerCapacity>(
-    PlacementKernel&, std::uint64_t, const BallSizeModel&, Xoshiro256StarStar&);
-template void PlacementKernel::run_weighted_v2_avx2_impl<TieBreak::kUniform>(
-    PlacementKernel&, std::uint64_t, const BallSizeModel&, Xoshiro256StarStar&);
-template void PlacementKernel::run_weighted_v2_avx2_impl<TieBreak::kFirstChoice>(
-    PlacementKernel&, std::uint64_t, const BallSizeModel&, Xoshiro256StarStar&);
 
 }  // namespace nubb
 
 #endif  // __AVX2__
+
+namespace nubb::detail {
+
+// The six loop entry points the stream-v2 dispatch calls, from whichever
+// definition the branch above compiled.
+template RunTotals run_v2_avx2<TieBreak::kPreferLargerCapacity, UnitSizes>(
+    std::uint32_t, BinSlot*, const std::uint64_t*, const std::uint32_t*, std::uint64_t,
+    std::uint64_t, UnitSizes, std::uint32_t*, std::uint64_t*, bool, bool, RunTotals,
+    Xoshiro256StarStar&);
+template RunTotals run_v2_avx2<TieBreak::kUniform, UnitSizes>(
+    std::uint32_t, BinSlot*, const std::uint64_t*, const std::uint32_t*, std::uint64_t,
+    std::uint64_t, UnitSizes, std::uint32_t*, std::uint64_t*, bool, bool, RunTotals,
+    Xoshiro256StarStar&);
+template RunTotals run_v2_avx2<TieBreak::kFirstChoice, UnitSizes>(
+    std::uint32_t, BinSlot*, const std::uint64_t*, const std::uint32_t*, std::uint64_t,
+    std::uint64_t, UnitSizes, std::uint32_t*, std::uint64_t*, bool, bool, RunTotals,
+    Xoshiro256StarStar&);
+template RunTotals run_v2_avx2<TieBreak::kPreferLargerCapacity, ModelSizes>(
+    std::uint32_t, BinSlot*, const std::uint64_t*, const std::uint32_t*, std::uint64_t,
+    std::uint64_t, ModelSizes, std::uint32_t*, std::uint64_t*, bool, bool, RunTotals,
+    Xoshiro256StarStar&);
+template RunTotals run_v2_avx2<TieBreak::kUniform, ModelSizes>(
+    std::uint32_t, BinSlot*, const std::uint64_t*, const std::uint32_t*, std::uint64_t,
+    std::uint64_t, ModelSizes, std::uint32_t*, std::uint64_t*, bool, bool, RunTotals,
+    Xoshiro256StarStar&);
+template RunTotals run_v2_avx2<TieBreak::kFirstChoice, ModelSizes>(
+    std::uint32_t, BinSlot*, const std::uint64_t*, const std::uint32_t*, std::uint64_t,
+    std::uint64_t, ModelSizes, std::uint32_t*, std::uint64_t*, bool, bool, RunTotals,
+    Xoshiro256StarStar&);
+
+}  // namespace nubb::detail

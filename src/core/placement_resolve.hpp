@@ -8,7 +8,8 @@
 /// for duplicate candidates, destination collisions within a group, and
 /// chunk tails, which is what keeps the two paths bit-identical. Everything
 /// here is header-only and NUBB_ALWAYS_INLINE so each TU compiles it at its
-/// own ISA level.
+/// own ISA level — except the two AVX2 entry points declared at the end,
+/// which only the AVX2 TU defines.
 
 #include <cstddef>
 #include <cstdint>
@@ -362,5 +363,30 @@ NUBB_ALWAYS_INLINE inline std::size_t prefetch_end(const bool prefetch,
                                                    const std::size_t nb) {
   return prefetch && nb > kPrefetchAhead ? nb - kPrefetchAhead : 0;
 }
+
+// --- AVX2 entry points ------------------------------------------------------
+// Defined in placement_kernel_avx2.cpp, the only TU compiled with -mavx2; a
+// toolchain without the flag builds aborting stubs there, so both always
+// link. The kernel calls them only when its simd_impl() is kAvx2, which
+// implies the 64-bit comparison width and independent choices. Both are
+// bit-identical to their scalar counterparts, RNG consumption included.
+
+/// Vector candidate phase: the same draws as fill_candidates_v2. Alias
+/// tables above 2,048 bins run four lanes wide; uniform samplers and
+/// smaller tables take fill_candidates_v2 itself.
+void fill_candidates_avx2(const std::uint64_t* threshold, const std::uint32_t* alias,
+                          std::uint64_t n, std::uint32_t* cand, std::size_t count,
+                          Xoshiro256StarStar& rng);
+
+/// Vector group-of-four loops for d = 2 and d = 3 (`d` is one of the two):
+/// the same bins, totals and draws as the scalar TU's run_v2_d2 / run_v2_d3
+/// at the 64-bit width. `cand` holds kStreamBlock * d entries, twice that
+/// at d = 2 (the fused loop double-buffers), and `tie` kStreamBlock words;
+/// `caps_u32` is true when every capacity fits 32 bits.
+template <TieBreak TB, class Sizes>
+RunTotals run_v2_avx2(std::uint32_t d, BinSlot* slots, const std::uint64_t* threshold,
+                      const std::uint32_t* alias, std::uint64_t n, std::uint64_t count,
+                      Sizes sz, std::uint32_t* cand, std::uint64_t* tie, bool caps_u32,
+                      bool prefetch, RunTotals t, Xoshiro256StarStar& rng);
 
 }  // namespace nubb::detail

@@ -92,21 +92,6 @@ void AliasTable::build(double total, const MemoryConfig& mem) {
   for (std::size_t k = 0; k < small_end; ++k) keep(work[k]);
 }
 
-void AliasTable::sample_fill(std::uint32_t* out, std::size_t count, Xoshiro256StarStar& rng,
-                             SimdMode simd) const {
-  // Short fills cannot amortise the vector setup, and a table of 2^32+
-  // entries would overflow the vector body's 32-bit multiplier lanes; the
-  // draws are identical either way, so route both scalar regardless of the
-  // resolved impl.
-  if (count >= 8 && size() < (std::uint64_t{1} << 32) && resolve_simd(simd) == SimdImpl::kAvx2) {
-    detail::alias_sample_fill_avx2(threshold_.data(), alias_.data(), size(), out, count, rng);
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<std::uint32_t>(sample(rng));
-  }
-}
-
 double AliasTable::probability(std::size_t i) const {
   NUBB_REQUIRE(i < size());
   // Slot s hands 2^53 - threshold[s] of its 2^53 mantissas to alias[s]; a

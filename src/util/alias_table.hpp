@@ -18,7 +18,6 @@
 
 #include "util/memory.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace nubb {
 
@@ -65,15 +64,6 @@ class AliasTable {
     return (rng.next() >> 11) < threshold_[slot] ? slot : alias_[slot];
   }
 
-  /// Fill `out[0..count)` with independent draws, exactly as if `sample(rng)`
-  /// had been called `count` times in order: same outcomes, same RNG
-  /// consumption (one bounded slot draw + one mantissa word per sample).
-  /// `simd` resolves like the placement kernel's `--simd` knob
-  /// (util/simd.hpp); the scalar and AVX2 bodies are bit-equal.
-  /// \pre size() fits the u32 outputs (guaranteed — construction caps n).
-  void sample_fill(std::uint32_t* out, std::size_t count, Xoshiro256StarStar& rng,
-                   SimdMode simd = SimdMode::kAuto) const;
-
   std::size_t size() const noexcept { return alias_.size(); }
 
   /// Number of outcomes with strictly positive probability. Rejection-based
@@ -111,17 +101,5 @@ class AliasTable {
   AlignedBuffer<std::uint32_t> alias_;      // fallback outcome per slot
   std::size_t support_ = 0;                 // outcomes with positive probability
 };
-
-namespace detail {
-
-/// AVX2 body of AliasTable::sample_fill over the raw slot arrays. Defined in
-/// alias_table_avx2.cpp (aborting stub when -mavx2 is unavailable); call
-/// only when `resolve_simd(...) == SimdImpl::kAvx2` — sample_fill owns the
-/// dispatch. \pre n >= 1 and n <= 2^32.
-void alias_sample_fill_avx2(const std::uint64_t* threshold, const std::uint32_t* alias,
-                            std::uint64_t n, std::uint32_t* out, std::size_t count,
-                            Xoshiro256StarStar& rng) noexcept;
-
-}  // namespace detail
 
 }  // namespace nubb

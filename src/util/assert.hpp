@@ -14,17 +14,30 @@
 
 namespace nubb {
 
-/// Thrown when a public API precondition is violated.
+/// Thrown when a public API precondition is violated. `what()` carries the
+/// failed expression, the source file and line, and the detail message;
+/// `reason()` is the part meant for an end user: the detail message, or
+/// the expression when the check has none (no path, no line number).
 class PreconditionError : public std::logic_error {
  public:
-  explicit PreconditionError(const std::string& what) : std::logic_error(what) {}
+  explicit PreconditionError(const std::string& what) : PreconditionError(what, what) {}
+  PreconditionError(const std::string& what, const std::string& reason)
+      : std::logic_error(what), reason_(reason) {}
+
+  const char* reason() const noexcept { return reason_.what(); }
+
+ private:
+  // A runtime_error only as string storage: copying it is as cheap and
+  // nothrow as copying the logic_error base.
+  std::runtime_error reason_;
 };
 
 namespace detail {
 [[noreturn]] inline void precondition_failure(const char* expr, const char* file, int line,
                                               const std::string& message) {
   throw PreconditionError(std::string("precondition failed: ") + expr + " at " + file + ":" +
-                          std::to_string(line) + (message.empty() ? "" : (": " + message)));
+                              std::to_string(line) + (message.empty() ? "" : (": " + message)),
+                          message.empty() ? std::string(expr) : message);
 }
 }  // namespace detail
 

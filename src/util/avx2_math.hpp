@@ -2,10 +2,10 @@
 
 /// \file avx2_math.hpp
 /// 64-bit-lane arithmetic building blocks for the AVX2 kernel translation
-/// units (placement_kernel_avx2.cpp, rng_avx2.cpp, alias_table_avx2.cpp —
-/// the only TUs compiled with -mavx2). Include nowhere else: the whole file
-/// is compiled out unless __AVX2__ is defined, so a baseline-ISA TU that
-/// includes it gets nothing rather than illegal instructions.
+/// unit (core/placement_kernel_avx2.cpp, the only TU compiled with -mavx2).
+/// Include nowhere else: the whole file is compiled out unless __AVX2__ is
+/// defined, so a baseline-ISA TU that includes it gets nothing rather than
+/// illegal instructions.
 ///
 /// AVX2 has no 64x64 multiply and no unsigned 64-bit compare, so the Lemire
 /// reduction and the exact cross-multiplied load comparisons are assembled
@@ -23,31 +23,10 @@
 
 namespace nubb::detail::avx2 {
 
-/// Per-lane full 64x64 -> 128 product: `hi`/`lo` receive the high and low
-/// halves of x[i] * y[i]. Schoolbook on 32-bit digits; the middle-column sum
-/// fits 64 bits (at most 3 * (2^32 - 1) + carries < 2^35 above 32 bits).
-NUBB_ALWAYS_INLINE inline void mul64_hilo(const __m256i x, const __m256i y, __m256i& hi,
-                                          __m256i& lo) {
-  const __m256i xh = _mm256_srli_epi64(x, 32);
-  const __m256i yh = _mm256_srli_epi64(y, 32);
-  const __m256i ll = _mm256_mul_epu32(x, y);
-  const __m256i hl = _mm256_mul_epu32(xh, y);
-  const __m256i lh = _mm256_mul_epu32(x, yh);
-  const __m256i hh = _mm256_mul_epu32(xh, yh);
-  const __m256i lo32 = _mm256_set1_epi64x(0xFFFFFFFFll);
-  const __m256i mid =
-      _mm256_add_epi64(_mm256_add_epi64(_mm256_srli_epi64(ll, 32), _mm256_and_si256(hl, lo32)),
-                       _mm256_and_si256(lh, lo32));
-  hi = _mm256_add_epi64(
-      _mm256_add_epi64(hh, _mm256_srli_epi64(hl, 32)),
-      _mm256_add_epi64(_mm256_srli_epi64(lh, 32), _mm256_srli_epi64(mid, 32)));
-  lo = _mm256_or_si256(_mm256_slli_epi64(mid, 32), _mm256_and_si256(ll, lo32));
-}
-
-/// mul64_hilo specialised for a 32-bit multiplier: with y < 2^32 in every
-/// lane the xh*yh and x*yh columns vanish, leaving two partial products.
-/// This is the Lemire-reduction case (y is a bin or table count, always
-/// below 2^32 — the candidate buffers are u32).
+/// Per-lane full 64x32 -> 96 product: `hi`/`lo` receive the high and low
+/// 64-bit halves of x[i] * y[i]. With y < 2^32 in every lane two 32x32
+/// partial products suffice. This is the Lemire-reduction case (y is a bin
+/// or table count, always below 2^32 — the candidate buffers are u32).
 /// \pre every lane of y is < 2^32.
 NUBB_ALWAYS_INLINE inline void mul64_hilo_b32(const __m256i x, const __m256i y, __m256i& hi,
                                               __m256i& lo) {
@@ -61,10 +40,10 @@ NUBB_ALWAYS_INLINE inline void mul64_hilo_b32(const __m256i x, const __m256i y, 
   lo = _mm256_blend_epi32(_mm256_slli_epi64(s, 32), ll, 0x55);
 }
 
-/// mullo64 specialised for a 32-bit multiplier (see mul64_hilo_b32): with
-/// y < 2^32 in every lane the x_hi * y_hi column vanishes, halving the
-/// multiply count. Used by the resolve kernels when every bin capacity fits
-/// 32 bits (the capacity is always the multiplier in a cross product).
+/// mullo64 specialised for a 32-bit multiplier: with y < 2^32 in every lane
+/// the x_hi * y_hi column vanishes, halving the multiply count. Used by the
+/// resolve kernels when every bin capacity fits 32 bits (the capacity is
+/// always the multiplier in a cross product).
 /// \pre every lane of y is < 2^32.
 NUBB_ALWAYS_INLINE inline __m256i mullo64_b32(const __m256i x, const __m256i y) {
   const __m256i hl = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), y);

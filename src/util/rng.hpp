@@ -194,23 +194,4 @@ constexpr std::uint64_t seed_for_replication(std::uint64_t base_seed, std::uint6
   return mix_seed(base_seed, 0x5851F42D4C957F2DULL * (rep + 1));
 }
 
-namespace detail {
-
-/// AVX2 bulk body of `bounded_fill` for 32-bit outputs: draw-for-draw and
-/// bit-for-bit identical to `rng.bounded_fill(bound, out, count)`, including
-/// the number of `next()` steps consumed (xoshiro's state recurrence is
-/// serial, so the raw words are generated scalar per chunk; the Lemire
-/// product/shift/compare runs four lanes wide, and a chunk containing a
-/// rejected draw — probability below bound / 2^64 per draw — is replayed
-/// through the exact scalar redraw loop from a saved state).
-///
-/// Defined in rng_avx2.cpp, the only RNG TU compiled with -mavx2; when the
-/// toolchain cannot build that TU the definition is an aborting stub, so
-/// call this only when `resolve_simd(...) == SimdImpl::kAvx2` (util/simd.hpp).
-/// \pre bound > 0 and bound <= 2^32 (results are staged as u32).
-void bounded_fill_avx2(Xoshiro256StarStar& rng, std::uint64_t bound, std::uint32_t* out,
-                       std::size_t count) noexcept;
-
-}  // namespace detail
-
 }  // namespace nubb

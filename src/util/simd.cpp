@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "util/cpuid.hpp"
-
 namespace nubb {
 
 bool cpu_supports_avx2() noexcept {

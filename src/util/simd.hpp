@@ -1,7 +1,9 @@
 #pragma once
 
 /// \file simd.hpp
-/// SIMD dispatch policy for the stream-v2 resolve kernels.
+/// SIMD dispatch policy for the stream-v2 bulk loops, and the two probes it
+/// rests on: the CPU's AVX2 support and whether this build compiled the
+/// AVX2 kernel TU (core/placement_kernel_avx2.cpp).
 ///
 /// Two layers, deliberately separate: `SimdMode` is what the user asks for
 /// (`--simd auto|on|off`, env `NUBB_SIMD`), `SimdImpl` is what the process
@@ -14,8 +16,6 @@
 /// to the fastest available implementation without a results knob.
 
 #include <string>
-
-#include "util/cpuid.hpp"
 
 namespace nubb {
 
@@ -36,7 +36,12 @@ const char* to_string(SimdImpl impl) noexcept;
 /// \throws std::runtime_error on anything but "auto" | "on" | "off".
 SimdMode parse_simd_mode(const std::string& name);
 
-/// True when this binary contains the AVX2 kernel translation units (the
+/// True when the running CPU executes AVX2 instructions. Cached after the
+/// first call; always false on non-x86 targets. This is a *hardware* probe;
+/// the dispatch also requires simd_kernels_compiled().
+bool cpu_supports_avx2() noexcept;
+
+/// True when this binary contains the AVX2 kernel translation unit (the
 /// toolchain accepted -mavx2 at configure time). Independent of the CPU.
 bool simd_kernels_compiled() noexcept;
 

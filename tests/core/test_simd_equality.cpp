@@ -1,10 +1,13 @@
 /// Scalar-vs-SIMD bit-equality sweep: the AVX2 resolve kernels must be an
 /// implementation detail with zero observable surface. Every path the
-/// dispatch can take — both specialised loops (d = 2, d = 3), the generic
-/// d >= 4 loop, every tie-break, unit and weighted balls, uniform and alias
-/// samplers, every multiply width, and both sides of the fused-fill cutover
-/// — must leave identical bin state and identical RNG position under
-/// `SimdMode::kOn` and `SimdMode::kOff`. The sweep also covers the
+/// dispatch can take — both specialised loops (d = 2, d = 3), the d = 1 and
+/// generic d >= 4 loops, every tie-break, unit and weighted balls, uniform
+/// and alias samplers, every multiply width, both sides of the fused-fill
+/// cutover, and the vector alias fill above 2,048 bins — must leave
+/// identical bin state and identical RNG position under `SimdMode::kOn`
+/// and `SimdMode::kOff`. A dispatch test checks that kOn really installs
+/// the vector loops where they exist, since a kernel that silently ran
+/// scalar would pass every equality case. The sweep also covers the
 /// scenario-registry JSON (run_shard output compared byte for byte), the
 /// S = 2 sharded placement service, and the RunMeta provenance plumbing.
 /// On hosts without AVX2 the kOn side silently falls back to scalar and the
@@ -61,21 +64,26 @@ constexpr TieBreak kAllTieBreaks[] = {TieBreak::kPreferLargerCapacity, TieBreak:
 
 TEST(SimdEquality, ChoicesByTieBreakSweepAliasSampler) {
   // Mixed capacities => alias sampler => the fused single-word draw path.
-  // Ball count crosses several 256-ball blocks plus a partial tail.
-  const auto caps = two_class_capacities(500, 1, 500, 10);
-  for (const std::uint32_t d : {1u, 2u, 3u, 4u, 6u}) {
-    for (const TieBreak tb : kAllTieBreaks) {
-      GameConfig cfg;
-      cfg.choices = d;
-      cfg.tie_break = tb;
-      expect_on_matches_off(caps, cfg, 42 + d);
+  // Ball count crosses several 256-ball blocks plus a partial tail. The
+  // 3,000-bin table sits above the 2,048-bin crossover, where the kOn side
+  // draws candidates through the vector alias fill at every d.
+  for (const auto& caps :
+       {two_class_capacities(500, 1, 500, 10), two_class_capacities(1500, 1, 1500, 10)}) {
+    for (const std::uint32_t d : {1u, 2u, 3u, 4u, 6u}) {
+      for (const TieBreak tb : kAllTieBreaks) {
+        GameConfig cfg;
+        cfg.choices = d;
+        cfg.tie_break = tb;
+        expect_on_matches_off(caps, cfg, 42 + d);
+      }
     }
   }
 }
 
 TEST(SimdEquality, UniformSamplerTakesTheBulkBoundedPath) {
-  // Equal capacities: no alias table, candidates come from bounded_fill
-  // (the AVX2 body on the kOn side), and the fused fill loop is bypassed.
+  // Equal capacities: no alias table, so both sides draw candidates with
+  // the scalar bulk bounded_fill; the kOn side still resolves d = 2 / d = 3
+  // through the vector loops, and the fused fill loop is bypassed.
   const auto caps = uniform_capacities(4096, 2);
   for (const std::uint32_t d : {2u, 3u}) {
     GameConfig cfg;
@@ -114,30 +122,38 @@ TEST(SimdEquality, MultiplyWidthBoundaries) {
 }
 
 TEST(SimdEquality, WeightedGameSweep) {
-  const auto caps = two_class_capacities(400, 2, 200, 8);
-  const BinSampler sampler =
-      BinSampler::from_policy(SelectionPolicy::proportional_to_capacity(), caps);
+  // 600 bins keep the scalar alias fill; 2,500 bins (above the 2,048-bin
+  // crossover) take the vector one on the kOn side.
+  struct Input {
+    std::vector<std::uint64_t> caps;
+    std::uint64_t balls;
+  };
   const BallSizeModel sizes = BallSizeModel::uniform_range(1, 4);
-  for (const std::uint32_t d : {2u, 3u, 4u}) {
-    for (const TieBreak tb : kAllTieBreaks) {
-      GameConfig cfg;
-      cfg.choices = d;
-      cfg.tie_break = tb;
-      cfg.stream = RngStream::kV2;
-      cfg.balls = 2000;
+  for (const Input& in : {Input{two_class_capacities(400, 2, 200, 8), 2000},
+                          Input{two_class_capacities(1500, 2, 1000, 8), 6000}}) {
+    const BinSampler sampler =
+        BinSampler::from_policy(SelectionPolicy::proportional_to_capacity(), in.caps);
+    for (const std::uint32_t d : {2u, 3u, 4u}) {
+      for (const TieBreak tb : kAllTieBreaks) {
+        GameConfig cfg;
+        cfg.choices = d;
+        cfg.tie_break = tb;
+        cfg.stream = RngStream::kV2;
+        cfg.balls = in.balls;
 
-      cfg.simd = SimdMode::kOff;
-      WeightedBinArray off_bins(caps);
-      Xoshiro256StarStar off_rng(88 + d);
-      play_weighted_game(off_bins, sampler, sizes, cfg, off_rng);
+        cfg.simd = SimdMode::kOff;
+        WeightedBinArray off_bins(in.caps);
+        Xoshiro256StarStar off_rng(88 + d);
+        play_weighted_game(off_bins, sampler, sizes, cfg, off_rng);
 
-      cfg.simd = SimdMode::kOn;
-      WeightedBinArray on_bins(caps);
-      Xoshiro256StarStar on_rng(88 + d);
-      play_weighted_game(on_bins, sampler, sizes, cfg, on_rng);
+        cfg.simd = SimdMode::kOn;
+        WeightedBinArray on_bins(in.caps);
+        Xoshiro256StarStar on_rng(88 + d);
+        play_weighted_game(on_bins, sampler, sizes, cfg, on_rng);
 
-      EXPECT_EQ(off_bins.weights(), on_bins.weights()) << "d=" << d;
-      EXPECT_EQ(off_rng.next(), on_rng.next()) << "d=" << d;
+        EXPECT_EQ(off_bins.weights(), on_bins.weights()) << "d=" << d << " n=" << in.caps.size();
+        EXPECT_EQ(off_rng.next(), on_rng.next()) << "d=" << d << " n=" << in.caps.size();
+      }
     }
   }
 }
@@ -152,6 +168,43 @@ TEST(SimdEquality, ReportedImplIsScalarWhenOff) {
   cfg.simd = SimdMode::kOff;
   const PlacementKernel kernel(bins, sampler, cfg, 100);
   EXPECT_EQ(kernel.simd_impl(), SimdImpl::kScalar);
+}
+
+TEST(SimdEquality, DispatchInstallsTheVectorLoopsUnderOn) {
+  // simd_impl() reports what bulk runs execute. Under kOn the vector loops
+  // exist only for stream v2 at the 64-bit comparison width with
+  // independent choices; every other shape must report scalar.
+  const auto caps = two_class_capacities(50, 1, 50, 10);
+  const BinSampler sampler =
+      BinSampler::from_policy(SelectionPolicy::proportional_to_capacity(), caps);
+  const auto installed = [&](GameConfig cfg, std::uint64_t planned, bool fast64) {
+    cfg.simd = SimdMode::kOn;
+    BinArray bins(caps);
+    const PlacementKernel kernel(bins, sampler, cfg, planned);
+    EXPECT_EQ(kernel.uses_fast64_path(), fast64) << "d=" << cfg.choices;
+    return kernel.simd_impl();
+  };
+  GameConfig v2;
+  v2.stream = RngStream::kV2;
+
+  GameConfig v1 = v2;
+  v1.stream = RngStream::kV1;
+  EXPECT_EQ(installed(v1, 100, true), SimdImpl::kScalar);
+  GameConfig distinct = v2;
+  distinct.distinct_choices = true;
+  EXPECT_EQ(installed(distinct, 100, true), SimdImpl::kScalar);
+  // A horizon of 2^62 balls into capacity-10 bins overflows 64-bit cross
+  // products, so the kernel compares at 128 bits.
+  EXPECT_EQ(installed(v2, std::uint64_t{1} << 62, false), SimdImpl::kScalar);
+
+  if (resolve_simd(SimdMode::kOn) != SimdImpl::kAvx2) {
+    GTEST_SKIP() << "AVX2 kernels unavailable on this host";
+  }
+  for (const std::uint32_t d : {1u, 2u, 3u, 4u}) {
+    GameConfig cfg = v2;
+    cfg.choices = d;
+    EXPECT_EQ(installed(cfg, 100, true), SimdImpl::kAvx2) << "d=" << d;
+  }
 }
 
 // --- registry sweep --------------------------------------------------------

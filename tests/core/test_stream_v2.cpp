@@ -75,9 +75,13 @@ std::vector<std::uint64_t> naive_v2_counts(const std::vector<std::uint64_t>& cap
   for (std::uint64_t done = 0; done < m; done += PlacementKernel::kStreamBlock) {
     const auto nb = static_cast<std::size_t>(
         std::min<std::uint64_t>(PlacementKernel::kStreamBlock, m - done));
-    // Phase 1: ball sizes, in ball order (weighted games only).
+    // Phase 1: ball sizes, in ball order (weighted games only), one
+    // sample() per ball — the contract BallSizeModel::fill, which the
+    // kernel calls, must reproduce.
     sz.assign(nb, 1);
-    if (sizes != nullptr) sizes->fill(sz.data(), nb, rng);
+    if (sizes != nullptr) {
+      for (auto& s : sz) s = sizes->sample(rng);
+    }
     // Phase 2: candidates in draw order, one accepted 64-bit word each.
     cand.assign(std::size_t{d} * nb, 0);
     if (table == nullptr) {
@@ -202,22 +206,26 @@ TEST(StreamV2Contract, KernelMatchesNaiveReferenceGreedy1And4) {
 }
 
 TEST(StreamV2Contract, KernelMatchesNaiveReferenceWeighted) {
+  // Every BallSizeModel kind: the kernel's size phase is the bulk fill,
+  // whose per-kind loops must match the reference's per-ball sample().
   const auto caps = two_class_capacities(40, 2, 20, 8);
   const BinSampler sampler =
       BinSampler::from_policy(SelectionPolicy::proportional_to_capacity(), caps);
-  const BallSizeModel sizes = BallSizeModel::uniform_range(1, 4);
   GameConfig cfg;
   cfg.stream = RngStream::kV2;
   cfg.balls = kBalls;
+  for (const BallSizeModel& sizes :
+       {BallSizeModel::constant(3), BallSizeModel::uniform_range(1, 4),
+        BallSizeModel::shifted_geometric(0.3, 20)}) {
+    Xoshiro256StarStar naive_rng(77);
+    const auto expected = naive_v2_counts(caps, sampler, cfg, kBalls, naive_rng, &sizes);
 
-  Xoshiro256StarStar naive_rng(77);
-  const auto expected = naive_v2_counts(caps, sampler, cfg, kBalls, naive_rng, &sizes);
-
-  Xoshiro256StarStar kernel_rng(77);
-  WeightedBinArray bins(caps);
-  play_weighted_game(bins, sampler, sizes, cfg, kernel_rng);
-  EXPECT_EQ(expected, bins.weights());
-  EXPECT_EQ(naive_rng.next(), kernel_rng.next());
+    Xoshiro256StarStar kernel_rng(77);
+    WeightedBinArray bins(caps);
+    play_weighted_game(bins, sampler, sizes, cfg, kernel_rng);
+    EXPECT_EQ(expected, bins.weights()) << "max size " << sizes.max_size();
+    EXPECT_EQ(naive_rng.next(), kernel_rng.next()) << "max size " << sizes.max_size();
+  }
 }
 
 TEST(StreamV2Contract, DeterministicAcrossRuns) {

@@ -52,6 +52,22 @@ TEST(AssertTest, PlainRequireMessageOmitsDetailSuffix) {
   }
 }
 
+TEST(AssertTest, ReasonIsTheMessageOrElseTheExpression) {
+  // The CLI tools print reason(): never the source path or line of what().
+  try {
+    NUBB_REQUIRE_MSG(1 + 1 == 3, "arithmetic broke");
+    FAIL() << "NUBB_REQUIRE_MSG(1 + 1 == 3, ...) did not throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.reason(), "arithmetic broke");
+  }
+  try {
+    NUBB_REQUIRE(2 + 2 == 5);
+    FAIL() << "NUBB_REQUIRE(2 + 2 == 5) did not throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.reason(), "2 + 2 == 5");
+  }
+}
+
 TEST(AssertTest, PreconditionErrorIsALogicError) {
   EXPECT_THROW(NUBB_REQUIRE(false), std::logic_error);
 }

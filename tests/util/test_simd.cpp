@@ -1,27 +1,19 @@
-/// SIMD dispatch policy suite (util/simd.hpp) plus the bulk-primitive
-/// equality contracts: `bounded_fill_avx2` and the AVX2 body of
-/// `AliasTable::sample_fill` must be draw-for-draw and bit-for-bit identical
-/// to their scalar forms, including the number of RNG words consumed. The
-/// vector cases run only where `resolve_simd(kOn)` lands on kAvx2; the
-/// policy cases run everywhere.
+/// SIMD dispatch policy suite (util/simd.hpp): mode parsing and naming, and
+/// how `resolve_simd` combines the requested mode, `NUBB_SIMD`, the
+/// compiled-kernel probe and the CPU probe. Runs on every host. That the
+/// vector kernels equal the scalar ones bit for bit, and that the kernel
+/// installs them, is tests/core/test_simd_equality.cpp's job.
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "util/alias_table.hpp"
-#include "util/cpuid.hpp"
-#include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace nubb {
 namespace {
-
-bool avx2_available() { return resolve_simd(SimdMode::kOn) == SimdImpl::kAvx2; }
 
 /// Scoped NUBB_SIMD override so env-sensitive cases cannot leak into each
 /// other (or inherit the harness environment).
@@ -124,84 +116,6 @@ TEST(ResolveSimdTest, InvalidEnvironmentValueThrows) {
   // with a broken NUBB_SIMD.
   EXPECT_NO_THROW(resolve_simd(SimdMode::kOff));
   EXPECT_NO_THROW(resolve_simd(SimdMode::kOn));
-}
-
-// --- bounded_fill_avx2 -----------------------------------------------------
-
-void expect_bounded_fill_matches(std::uint64_t bound, std::size_t count,
-                                 std::uint64_t seed) {
-  Xoshiro256StarStar scalar_rng(seed);
-  Xoshiro256StarStar simd_rng(seed);
-  std::vector<std::uint32_t> scalar_out(count, 0xA5A5A5A5u);
-  std::vector<std::uint32_t> simd_out(count, 0x5A5A5A5Au);
-  scalar_rng.bounded_fill(bound, scalar_out.data(), count);
-  detail::bounded_fill_avx2(simd_rng, bound, simd_out.data(), count);
-  EXPECT_EQ(scalar_out, simd_out) << "bound=" << bound << " count=" << count;
-  // Equal RNG consumption, not just equal outputs.
-  EXPECT_EQ(scalar_rng.next(), simd_rng.next()) << "bound=" << bound;
-}
-
-TEST(BoundedFillAvx2Test, MatchesScalarAcrossBoundsAndCounts) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernels unavailable";
-  // Non-power-of-two bounds exercise the Lemire rejection threshold; counts
-  // straddle the 4-lane chunking (remainder lanes 0..3).
-  for (const std::uint64_t bound : {1ull, 2ull, 3ull, 1000ull, 4096ull, 999983ull}) {
-    for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{5},
-                                    std::size_t{64}, std::size_t{1023}}) {
-      expect_bounded_fill_matches(bound, count, 0xB0B0 + bound + count);
-    }
-  }
-}
-
-TEST(BoundedFillAvx2Test, MatchesScalarAtTheU32Ceiling) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernels unavailable";
-  // bound = 2^32 is the staging limit (results are u32): rejection
-  // probability 0, every lane accepted, full 32-bit values.
-  expect_bounded_fill_matches(std::uint64_t{1} << 32, 777, 123);
-  // Just below the ceiling the rejection threshold is tiny but non-zero.
-  expect_bounded_fill_matches((std::uint64_t{1} << 32) - 1, 777, 321);
-}
-
-TEST(BoundedFillAvx2Test, ForcesTheScalarRedrawOnRejection) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernels unavailable";
-  // A bound just above a power of two maximises (0 - bound) % bound, making
-  // per-draw rejection as likely as bounds get; a long fill then almost
-  // surely replays at least one chunk through the saved-state scalar loop.
-  expect_bounded_fill_matches((std::uint64_t{1} << 31) + 1, 1 << 16, 31337);
-}
-
-// --- AliasTable::sample_fill -----------------------------------------------
-
-TEST(AliasSampleFillSimdTest, OnMatchesOffDrawForDraw) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernels unavailable";
-  // Heavily skewed weights so thresholds and aliases both fire.
-  std::vector<double> weights;
-  for (std::size_t i = 0; i < 1000; ++i) weights.push_back(1.0 + double(i % 8) * 7.0);
-  const AliasTable table(weights);
-  for (const std::size_t count :
-       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
-    Xoshiro256StarStar off_rng(99 + count);
-    Xoshiro256StarStar on_rng(99 + count);
-    std::vector<std::uint32_t> off_out(count, 0);
-    std::vector<std::uint32_t> on_out(count, 1);
-    table.sample_fill(off_out.data(), count, off_rng, SimdMode::kOff);
-    table.sample_fill(on_out.data(), count, on_rng, SimdMode::kOn);
-    EXPECT_EQ(off_out, on_out) << "count=" << count;
-    EXPECT_EQ(off_rng.next(), on_rng.next()) << "count=" << count;
-  }
-}
-
-TEST(AliasSampleFillSimdTest, SingleBinTableDegenerateCase) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernels unavailable";
-  const AliasTable table(std::vector<double>{1.0});
-  Xoshiro256StarStar off_rng(5);
-  Xoshiro256StarStar on_rng(5);
-  std::vector<std::uint32_t> off_out(257, 9);
-  std::vector<std::uint32_t> on_out(257, 8);
-  table.sample_fill(off_out.data(), off_out.size(), off_rng, SimdMode::kOff);
-  table.sample_fill(on_out.data(), on_out.size(), on_rng, SimdMode::kOn);
-  EXPECT_EQ(off_out, on_out);
-  EXPECT_EQ(off_rng.next(), on_rng.next());
 }
 
 }  // namespace

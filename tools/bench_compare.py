@@ -41,7 +41,6 @@ KNOWN_IMPLS = frozenset(
         "kernel_v2_nopf",
         "kernel_v2_simd",
         "primitive",
-        "primitive_simd",
     }
 )
 

@@ -60,7 +60,7 @@ void run_worker(const std::string& host, std::uint16_t port, std::uint64_t balls
       left -= count;
     }
   } catch (const std::exception& e) {
-    out.error = e.what();
+    out.error = tool::error_text(e);
   }
 }
 
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const std::exception& e) {
-    std::cerr << "nubb_load: " << e.what() << "\n";
+    std::cerr << "nubb_load: " << tool::error_text(e) << "\n";
     return 1;
   }
 }

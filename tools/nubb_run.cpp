@@ -408,7 +408,7 @@ int main(int argc, char** argv) {
                         scenario.run_and_report(spec, ctx);
                       });
   } catch (const std::exception& e) {
-    std::cerr << "nubb_run: " << e.what() << "\n";
+    std::cerr << "nubb_run: " << tool::error_text(e) << "\n";
     return 1;
   }
 }

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
               << " balls placed\n";
     return 0;
   } catch (const std::exception& e) {
-    std::cerr << "nubb_serve: " << e.what() << "\n";
+    std::cerr << "nubb_serve: " << tool::error_text(e) << "\n";
     return 1;
   }
 }

@@ -5,7 +5,8 @@
 #
 # Checks: exit codes, table output shape, JSON output shape, that a bad
 # flag or a malformed --caps item fails with a non-zero exit code (the
-# latter naming the item), that every experiment `list` names (plus
+# latter naming the item), that a library precondition failure prints its
+# own reason and nothing else, that every experiment `list` names (plus
 # max-load under --stream v1 and with --batch 4) shards end to end —
 # `--shard 0/2` and `1/2`, `check-state`, `merge` — into JSON equal to the
 # unsharded run's, and that a run without --stream is a stream-v2 run.
@@ -229,6 +230,21 @@ execute_process(
   RESULT_VARIABLE rc)
 if(rc EQUAL 0)
   message(FATAL_ERROR "nubb_run --caps bogus should fail but exited 0")
+endif()
+
+# A failed library precondition prints its reason: the whole stderr line is
+# fixed, with no source path or line number in it.
+execute_process(
+  COMMAND "${NUBB_RUN}" --caps 20x1 --experiment gap-trace --batch 4
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "nubb_run gap-trace --batch 4 should fail but exited 0")
+endif()
+set(expected_err "nubb_run: gap trace requires the sequential process (batch <= 1)\n")
+if(NOT err STREQUAL expected_err)
+  message(FATAL_ERROR "nubb_run gap-trace --batch 4 printed:\n${err}expected:\n${expected_err}")
 endif()
 
 # Each half of a --caps item is an unsigned decimal integer and nothing else:

@@ -1,14 +1,15 @@
 #pragma once
 
 /// \file tool_common.hpp
-/// Flag spellings and value parsers shared by the CLI binaries (nubb_run,
-/// nubb_serve, nubb_load). One registration helper per option group, so a
-/// game described to the daemon and a game described to the offline driver
-/// use the same vocabulary and cannot drift (`--caps 500x1,500x10` means
-/// the same bins everywhere).
+/// Flag spellings, value parsers and error text shared by the CLI binaries
+/// (nubb_run, nubb_serve, nubb_load). One registration helper per option
+/// group, so a game described to the daemon and a game described to the
+/// offline driver use the same vocabulary and cannot drift
+/// (`--caps 500x1,500x10` means the same bins everywhere).
 
 #include <charconv>
 #include <cstdint>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -109,6 +110,15 @@ inline ServiceConfig service_config_from(const CliParser& cli) {
   cfg.game.simd = parse_simd_mode(cli.get_string("simd"));
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   return cfg;
+}
+
+/// What a tool prints after "<tool>: " for an error it cannot recover from.
+/// A library precondition gives its own reason, never the source path and
+/// line that what() carries (those vary with the build and with every edit
+/// to the file); anything else gives what().
+inline std::string error_text(const std::exception& e) {
+  if (const auto* pre = dynamic_cast<const PreconditionError*>(&e)) return pre->reason();
+  return e.what();
 }
 
 }  // namespace nubb::tool
